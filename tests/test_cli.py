@@ -1,6 +1,7 @@
 """Command-line interface behaviour: determinism, profile routing,
 file handling, exit codes."""
 
+import hashlib
 import json
 import struct
 
@@ -22,6 +23,76 @@ def runner():
 
 def write_white_bitmap(path, w=2, h=2):
     write_bitmap(path, BitmapBuffer(w, h, bytes([255, 255, 255, 255]) * (w * h)))
+
+
+# Every byte each profile-routed command emits, for one fixed input each.
+MATRIX_COMMANDS = {
+    "canvas": ["farble", "canvas", "--in", "{dir}/in.rgba", "--out", "{dir}/out"],
+    "audio": ["farble", "audio", "--in", "{dir}/in.pcm", "--out", "{dir}/out"],
+    "geo": ["farble", "geo", "--lat", "50.0755", "--lon", "14.4378"],
+    "gl": ["spoof", "gl"],
+    "devices": ["spoof", "devices"],
+}
+GL_P1 = (
+    '{"vendor": "YBTMCwAmHrdNwFZm1Ve", "renderer": "y7lGHRGfku15xL1YlOqZhvkDqdf5M", '
+    '"unmasked_vendor": "4a2VtXMhzrJTEQf3Q", "unmasked_renderer": "sxJAtKAFO1NJMbLx867mH2 y"}\n'
+)
+GL_GENERIC = (
+    '{"vendor": "Generic Vendor", "renderer": "Generic Renderer", '
+    '"unmasked_vendor": "Generic Vendor", "unmasked_renderer": "Generic Renderer"}\n'
+)
+DEVICES_P1 = (
+    "G05v4Afkc54QSVcL16sRqDvY_hoTl5CsHN3H-V0IoDo\n"
+    "afOhtixgzEvt4nqhveTfPBxA6Cu4Q277z-c2xERAiLo\n"
+    "z4PLHFeTrrcI2lvZWxmIH6mFihhsH_MteppOy6MfaaI\n"
+)
+# (profile, command) -> (exit code, stdout, stderr action, SHA-256 of --out or None)
+MATRIX = {
+    ("p1", "canvas"): (0, "", "little_lie",
+                       "b09559eeed361da107262ec71b73f5debfb0ae8a9493cdbe690a14a2f38ba6ba"),
+    ("p1", "audio"): (0, "", "little_lie",
+                      "4ee640a2e2ed42423fe58e937486d69de4ce12b2c959fe82bc52057c71ed8fa6"),
+    ("p1", "geo"): (0, '{"latitude": 50.06500947659145, "longitude": 14.507873914323767, '
+                       '"accuracy": 10000.0}\n', "little_lie", None),
+    ("p1", "gl"): (0, GL_P1, "little_lie", None),
+    ("p1", "devices"): (0, DEVICES_P1, "little_lie", None),
+    ("p2", "canvas"): (0, "", "pass_through",
+                       "de262ca046222b89462d66a8401eff53abddb817fa834d1cea137c5201324f6b"),
+    ("p2", "audio"): (0, "", "pass_through",
+                      "1b551f73042ccc42ebc4d3872ebd5be89dc367b2cc1900c59e24de8c415f1fbb"),
+    ("p2", "geo"): (0, '{"latitude": 50.0755, "longitude": 14.4378, "accuracy": 10.0}\n',
+                    "pass_through", None),
+    ("p2", "gl"): (0, "", "pass_through", None),
+    ("p2", "devices"): (0, "", "pass_through", None),
+    ("p3", "canvas"): (0, "", "fixed_fake",
+                       "2101ad8462440a2c1522dce6427a0036757002da1e4dd5a930aba421c2dcc9fb"),
+    ("p3", "audio"): (0, "", "fixed_fake",
+                      "f1ba4eb442dfc2a453e5ca6450720213bb221236b939b1d9998138d43cecf2eb"),
+    ("p3", "geo"): (0, "", "block", None),
+    ("p3", "gl"): (0, GL_GENERIC, "fixed_fake", None),
+    ("p3", "devices"): (0, "", "block", None),
+}
+MATRIX_GROUPS = {"canvas": "canvas", "audio": "audio", "geo": "geolocation",
+                 "gl": "webgl", "devices": "mediadevices"}
+
+
+class TestProfileMatrix:
+    @pytest.mark.parametrize("profile, command", sorted(MATRIX))
+    def test_golden_output(self, runner, tmp_path, profile, command):
+        write_bitmap(tmp_path / "in.rgba", BitmapBuffer(3, 2, bytes(range(0, 240, 10))))
+        write_audio(tmp_path / "in.pcm",
+                    AudioSamples(8000, [[0.5, -0.25, 0.0, 1.0], [-1.0, 0.125, 0.75, -0.5]]))
+        args = [a.format(dir=tmp_path) for a in MATRIX_COMMANDS[command]]
+        result = runner.invoke(
+            main, args + ["--session", FIXED_SESSION, "--origin", ORIGIN, "--profile", profile]
+        )
+        out = tmp_path / "out"
+        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+        code, stdout, action, sha = MATRIX[profile, command]
+        assert result.exit_code == code
+        assert result.stdout == stdout
+        assert result.stderr == f"action={action} group={MATRIX_GROUPS[command]}\n"
+        assert digest == sha
 
 
 class TestVersionAndUsage:
