@@ -15,9 +15,6 @@ Subsystems:
 
 __version__ = "0.1.0"
 
-FPD_CONFIG_SCHEMA_VERSION = 1
-PROFILE_TABLE_SCHEMA_VERSION = 1
-
 from .keyrand import (  # noqa: F401
     FarbleSeed,
     Origin,

@@ -22,18 +22,27 @@ from .farble import (
     farble_bitmap,
     spoof_device_ids,
     spoof_gl_strings,
+    validate_device_count,
+    validate_geo_request,
 )
-from .fpd import FpdMode, analyze_trace, block_directives, default_config, load_fpd_config
+from .fpd import (
+    CONFIG_SCHEMA_VERSION,
+    FpdMode,
+    analyze_trace,
+    block_directives,
+    default_config,
+    load_fpd_config,
+)
 from .keyrand import Origin, SessionKey, derive_seed, new_session_key
 from .nbs import AddressClass, LearnCache, NbsMode, decide
-from .profiles import PROFILES, ProtectionAction, resolve_group_action
+from .profiles import PROFILES, TABLE_SCHEMA_VERSION, protect
 from .proxy import ProxyConfig, run_proxy
 from .sensorsim import SensorKind, init_device_state, sample
 from .timeshield import ShieldConfig, shield_stream
 
 VERSION_TEXT = (
     f"webshield {__version__} "
-    f"(fpd-config-schema 1, profile-table-schema 1)"
+    f"(fpd-config-schema {CONFIG_SCHEMA_VERSION}, profile-table-schema {TABLE_SCHEMA_VERSION})"
 )
 
 
@@ -79,14 +88,6 @@ profile_option = click.option(
 )
 
 
-def _seed(session, origin, tag):
-    return derive_seed(session, origin, tag)
-
-
-def _announce(action: ProtectionAction, group: str):
-    click.echo(f"action={action.value} group={group}", err=True)
-
-
 class _DomainError(click.ClickException):
     exit_code = 1
 
@@ -96,6 +97,17 @@ def _domain(call, *args, **kwargs):
         return call(*args, **kwargs)
     except ValueError as exc:
         raise _DomainError(str(exc))
+
+
+def _protect(profile: str, group: str, payload, little_lie):
+    """Announce the profile's action for ``group`` on stderr, then apply it.
+
+    The little lie looks its farble function up in this module's globals
+    when it runs, so wrappers installed on those names see the call.
+    """
+    action = PROFILES[profile].actions[group]
+    click.echo(f"action={action.value} group={group}", err=True)
+    return _domain(protect, action, group, payload, little_lie)
 
 
 @click.group()
@@ -123,19 +135,10 @@ def farble():
 def farble_canvas(in_path, out_path, session, origin, profile):
     """Farble an RGBA bitmap file (LE32 w, LE32 h, RGBA bytes)."""
     bitmap = _domain(formats.read_bitmap, in_path)
-    action = resolve_group_action(PROFILES[profile], "canvas")
-    _announce(action, "canvas")
-    if action is ProtectionAction.BLOCK:
-        return
-    if action is ProtectionAction.PASS_THROUGH:
-        formats.write_bitmap(out_path, bitmap)
-        return
-    if action is ProtectionAction.FIXED_FAKE:
-        white = bytes([255, 255, 255, 255]) * (bitmap.width * bitmap.height)
-        formats.write_bitmap(out_path, type(bitmap)(bitmap.width, bitmap.height, white))
-        return
-    out = _domain(farble_bitmap, _seed(session, origin, "canvas"), bitmap)
-    formats.write_bitmap(out_path, out)
+    out = _protect(profile, "canvas", bitmap,
+                   lambda b: farble_bitmap(derive_seed(session, origin, "canvas"), b))
+    if out is not None:
+        formats.write_bitmap(out_path, out)
 
 
 @farble.command("audio")
@@ -147,19 +150,10 @@ def farble_canvas(in_path, out_path, session, origin, profile):
 def farble_audio_cmd(in_path, out_path, session, origin, profile):
     """Farble a raw audio file (LE32 rate, LE32 ch, LE32 frames, f32 LE)."""
     audio = _domain(formats.read_audio, in_path)
-    action = resolve_group_action(PROFILES[profile], "audio")
-    _announce(action, "audio")
-    if action is ProtectionAction.BLOCK:
-        return
-    if action is ProtectionAction.PASS_THROUGH:
-        formats.write_audio(out_path, audio)
-        return
-    if action is ProtectionAction.FIXED_FAKE:
-        silent = type(audio)(audio.sample_rate, [[0.0] * audio.frame_count() for _ in audio.channels])
-        formats.write_audio(out_path, silent)
-        return
-    out = _domain(farble_audio, _seed(session, origin, "audio"), audio)
-    formats.write_audio(out_path, out)
+    out = _protect(profile, "audio", audio,
+                   lambda a: farble_audio(derive_seed(session, origin, "audio"), a))
+    if out is not None:
+        formats.write_audio(out_path, out)
 
 
 @farble.command("geo")
@@ -174,19 +168,15 @@ def farble_audio_cmd(in_path, out_path, session, origin, profile):
 def farble_geo(lat, lon, accuracy, precision, session, origin, profile):
     """Degrade a coordinate to origin-keyed grid precision."""
     coord = GeoCoordinate(lat, lon, accuracy)
-    action = resolve_group_action(PROFILES[profile], "geolocation")
-    _announce(action, "geolocation")
-    if action is ProtectionAction.BLOCK:
-        return
-    if action is ProtectionAction.PASS_THROUGH:
-        out = coord
-    else:
-        out = _domain(
-            degrade_geolocation, _seed(session, origin, "geo"), coord, precision
-        )
-    click.echo(json.dumps(
-        {"latitude": out.latitude, "longitude": out.longitude, "accuracy": out.accuracy}
-    ))
+    _domain(validate_geo_request, coord, precision)
+    out = _protect(
+        profile, "geolocation", coord,
+        lambda c: degrade_geolocation(derive_seed(session, origin, "geo"), c, precision),
+    )
+    if out is not None:
+        click.echo(json.dumps(
+            {"latitude": out.latitude, "longitude": out.longitude, "accuracy": out.accuracy}
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -204,20 +194,10 @@ def spoof():
 @profile_option
 def spoof_gl(session, origin, profile):
     """Emit the four spoofed GPU identity strings as JSON."""
-    action = resolve_group_action(PROFILES[profile], "webgl")
-    _announce(action, "webgl")
-    if action is ProtectionAction.BLOCK or action is ProtectionAction.PASS_THROUGH:
-        return
-    if action is ProtectionAction.FIXED_FAKE:
-        click.echo(json.dumps({
-            "vendor": "Generic Vendor",
-            "renderer": "Generic Renderer",
-            "unmasked_vendor": "Generic Vendor",
-            "unmasked_renderer": "Generic Renderer",
-        }))
-        return
-    strings = spoof_gl_strings(_seed(session, origin, "webgl"))
-    click.echo(json.dumps(strings.as_dict()))
+    strings = _protect(profile, "webgl", None,
+                       lambda _: spoof_gl_strings(derive_seed(session, origin, "webgl")))
+    if strings is not None:
+        click.echo(json.dumps(strings.as_dict()))
 
 
 @spoof.command("devices")
@@ -227,11 +207,10 @@ def spoof_gl(session, origin, profile):
 @profile_option
 def spoof_devices(count, session, origin, profile):
     """Emit spoofed media device identifiers, one per line."""
-    action = resolve_group_action(PROFILES[profile], "mediadevices")
-    _announce(action, "mediadevices")
-    if action is not ProtectionAction.LITTLE_LIE:
-        return
-    for device_id in _domain(spoof_device_ids, _seed(session, origin, "mediadevices"), count):
+    _domain(validate_device_count, count)
+    ids = _protect(profile, "mediadevices", None,
+                   lambda _: spoof_device_ids(derive_seed(session, origin, "mediadevices"), count))
+    for device_id in ids or ():
         click.echo(device_id)
 
 
@@ -259,7 +238,7 @@ def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
     """Generate a sensor trace at a fixed rate."""
     if rate <= 0 or duration < 0:
         raise _DomainError("rate must be > 0 and duration >= 0")
-    state = init_device_state(_seed(session, origin, "sensor"))
+    state = init_device_state(derive_seed(session, origin, "sensor"))
     shield_cfg = ShieldConfig(quantum_ms=quantum)
     kind = SensorKind(kind)
     n = int(rate * duration)
@@ -304,7 +283,7 @@ def time_shield(quantum, no_randomize, session, origin):
         cfg = ShieldConfig(quantum_ms=quantum, randomize=not no_randomize)
     except ValueError as exc:
         raise _DomainError(str(exc))
-    seed = _seed(session, origin, "time")
+    seed = derive_seed(session, origin, "time")
 
     def parse_lines():
         for line in sys.stdin:

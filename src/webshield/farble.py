@@ -196,15 +196,27 @@ def spoof_gl_strings(seed: FarbleSeed) -> GlStringSet:
     return GlStringSet(*(_keyed_string(seed, 100 * k) for k in range(4)))
 
 
-def spoof_device_ids(seed: FarbleSeed, count: int) -> list[str]:
-    """Generate ``count`` distinct 43-character base64url identifiers."""
+def validate_device_count(count: int) -> None:
+    """Raise ValueError unless ``spoof_device_ids`` accepts ``count``."""
     if count < 0:
         raise ValueError("count must be >= 0")
+
+
+def spoof_device_ids(seed: FarbleSeed, count: int) -> list[str]:
+    """Generate ``count`` distinct 43-character base64url identifiers."""
+    validate_device_count(count)
     ids = []
     for k in range(count):
         raw = keystream_bytes(seed, DEVICE_ID_BYTES * k, DEVICE_ID_BYTES)
         ids.append(base64.urlsafe_b64encode(raw).decode("ascii").rstrip("="))
     return ids
+
+
+def validate_geo_request(coord: GeoCoordinate, precision_m: float) -> None:
+    """Raise ValueError unless ``degrade_geolocation`` accepts these inputs."""
+    coord.validate()
+    if not (math.isfinite(precision_m) and precision_m > 0):
+        raise ValueError("precision must be a positive number of meters")
 
 
 def degrade_geolocation(
@@ -218,9 +230,7 @@ def degrade_geolocation(
     instead of one globally shared truncation lattice.  Reported accuracy
     never improves past the grid size.
     """
-    coord.validate()
-    if not (math.isfinite(precision_m) and precision_m > 0):
-        raise ValueError("precision must be a positive number of meters")
+    validate_geo_request(coord, precision_m)
 
     u_lat = uniform01(seed, 0)
     u_lon = uniform01(seed, 1)

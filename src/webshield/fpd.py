@@ -325,24 +325,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Report":
-        return cls(
-            page=doc["page"],
-            score=doc["score"],
-            detected=doc["detected"],
-            severity=doc["severity"],
-            groups=tuple(
-                GroupReport(g["name"], g["fired"], dict(g["endpoints"]))
-                for g in doc["groups"]
-            ),
-            unclassified=dict(doc["unclassified"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
-
     def to_text(self) -> str:
         lines = [f"page: {self.page or '(unknown)'}"]
         lines.append(

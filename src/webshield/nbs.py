@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ipaddress
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -134,15 +133,10 @@ class LearnCache:
 
     def learn(self, hostname: str, cls: AddressClass) -> None:
         with self._lock:
-            self._entries[hostname.lower()] = (cls, time.time())
+            self._entries[hostname.lower()] = cls
 
     def lookup(self, hostname: str) -> AddressClass | None:
-        entry = self._entries.get(hostname.lower())
-        return entry[0] if entry else None
-
-    def inserted_at(self, hostname: str) -> float | None:
-        entry = self._entries.get(hostname.lower())
-        return entry[1] if entry else None
+        return self._entries.get(hostname.lower())
 
     def __len__(self) -> int:
         return len(self._entries)

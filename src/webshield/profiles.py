@@ -6,6 +6,8 @@ session but stay self-consistent.  P2 leaves fingerprintable groups
 untouched and keeps only the security protections (timing).  P3 trades
 fingerprintability for information hiding: groups either return fixed
 fake values shared by every P3 user or are blocked outright.
+``protect`` carries out one action on one payload, for the CLI and for
+any host that embeds the engine.
 
 The endpoint catalog is a representative selection of commonly wrapped
 read surfaces, not an exhaustive API inventory.
@@ -17,6 +19,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+from .farble import AudioSamples, BitmapBuffer, GlStringSet
+
+TABLE_SCHEMA_VERSION = 1
 
 
 class ProtectionAction(Enum):
@@ -124,7 +130,7 @@ class ProtectionProfile:
     id: str
     actions: dict
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         missing = set(GROUPS) - set(self.actions)
         if missing:
             raise ValueError(f"profile {self.id} missing groups: {sorted(missing)}")
@@ -149,29 +155,51 @@ def _build_profiles() -> dict:
 
 PROFILES = _build_profiles()
 
+# The value FIXED_FAKE hands back, per group, shaped after the real payload:
+# every P3 user reads the same white canvas, the same silence, the same GPU.
+_FIXED_FAKES = {
+    "canvas": lambda bitmap: BitmapBuffer(
+        bitmap.width, bitmap.height, b"\xff" * (4 * bitmap.width * bitmap.height)
+    ),
+    "audio": lambda audio: AudioSamples(
+        audio.sample_rate, [[0.0] * audio.frame_count() for _ in audio.channels]
+    ),
+    "webgl": lambda _: GlStringSet(
+        "Generic Vendor", "Generic Renderer", "Generic Vendor", "Generic Renderer"
+    ),
+}
+
 
 def resolve_protection(profile: ProtectionProfile, endpoint: str) -> ProtectionAction:
     """Map an endpoint to its group's action; unknown endpoints pass through."""
-    profile.validate()
     group = ENDPOINT_GROUPS.get(endpoint)
     if group is None:
         return ProtectionAction.PASS_THROUGH
     return profile.actions[group]
 
 
-def resolve_group_action(profile: ProtectionProfile, group: str) -> ProtectionAction:
-    """Action for a whole endpoint group (used by the CLI subcommands)."""
-    profile.validate()
-    if group not in GROUPS:
-        return ProtectionAction.PASS_THROUGH
-    return profile.actions[group]
+def protect(action: ProtectionAction, group: str, payload, little_lie):
+    """What a page reads from ``group`` under ``action``; None means nothing.
+
+    ``payload`` is the real value, or None where the host has none to
+    pass through (GPU strings, device ids).  ``little_lie(payload)``
+    computes the keyed lie and runs only under LITTLE_LIE.  FIXED_FAKE
+    is defined for the groups in ``_FIXED_FAKES``.
+    """
+    if action is ProtectionAction.BLOCK:
+        return None
+    if action is ProtectionAction.PASS_THROUGH:
+        return payload
+    if action is ProtectionAction.FIXED_FAKE:
+        if group not in _FIXED_FAKES:
+            raise ValueError(f"no fixed fake for group {group!r}")
+        return _FIXED_FAKES[group](payload)
+    return little_lie(payload)
 
 
 def profiles_to_json() -> str:
     doc = {
-        "version": 1,
-        "groups": GROUPS,
-        "endpoints": ENDPOINT_GROUPS,
+        "version": TABLE_SCHEMA_VERSION,
         "profiles": {
             pid: {g: a.value for g, a in prof.actions.items()}
             for pid, prof in PROFILES.items()
@@ -184,12 +212,9 @@ def profiles_from_json(text: str | Path) -> dict:
     if isinstance(text, Path):
         text = text.read_text()
     doc = json.loads(text)
-    if doc.get("version") != 1:
+    if doc.get("version") != TABLE_SCHEMA_VERSION:
         raise ValueError(f"unsupported profile table version: {doc.get('version')}")
-    profiles = {}
-    for pid, table in doc["profiles"].items():
-        actions = {g: ProtectionAction(a) for g, a in table.items()}
-        prof = ProtectionProfile(pid, actions)
-        prof.validate()
-        profiles[pid] = prof
-    return profiles
+    return {
+        pid: ProtectionProfile(pid, {g: ProtectionAction(a) for g, a in table.items()})
+        for pid, table in doc["profiles"].items()
+    }

@@ -37,6 +37,7 @@ from .nbs import (
 
 BLOCK_REASON_HEADER = "X-Boundary-Block-Reason"
 COALESCE_WINDOW_S = 10.0
+UPSTREAM_TIMEOUT_S = 10.0
 
 _HOP_BY_HOP = {
     "connection",
@@ -58,7 +59,6 @@ class ProxyConfig:
     mode: NbsMode = NbsMode.PRE_RESOLVE
     origin_class: AddressClass = AddressClass.PUBLIC
     log_path: Path | None = None
-    upstream_timeout_s: float = 10.0
     coalesce_window_s: float = COALESCE_WINDOW_S
 
 
@@ -135,6 +135,10 @@ class DecisionLog:
                 self._write_pending(key)
 
 
+def _is_decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 class _ProxyHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "webshield-nbs"
@@ -150,32 +154,35 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         pass
 
     def _split_target(self, netloc: str, default_port: int) -> tuple[str, int]:
+        """(host, port) of an authority; ValueError unless the port is 1-65535."""
         if netloc.startswith("["):  # bracketed IPv6
             host, _, rest = netloc[1:].partition("]")
-            port = int(rest[1:]) if rest.startswith(":") else default_port
-            return host, port
-        host, _, port_text = netloc.partition(":")
-        return host, int(port_text) if port_text else default_port
+            port_text = rest[1:] if rest.startswith(":") else rest
+        else:
+            host, _, port_text = netloc.partition(":")
+        if not port_text:
+            return host, default_port
+        if not (_is_decimal(port_text) and 0 < int(port_text) < 65536):
+            raise ValueError(f"bad port in request target {netloc!r}")
+        return host, int(port_text)
+
+    def _reply(self, status: int, body: str, headers: dict | None = None) -> None:
+        """Send a complete response and close the connection."""
+        payload = body.encode()
+        self.send_response(status)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
 
     def _deny(self, host: str, cls: str, reason: str) -> None:
         self.proxy.log.log(host, cls, Decision.BLOCK.value, reason)
-        body = reason.encode()
-        self.send_response(403)
-        self.send_header(BLOCK_REASON_HEADER, reason)
-        self.send_header("Content-Type", "text/plain")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._reply(403, reason, {BLOCK_REASON_HEADER: reason, "Content-Type": "text/plain"})
 
-    def _bad_gateway(self, host: str, message: str) -> None:
-        body = message.encode()
-        self.send_response(502)
-        self.send_header("Content-Type", "text/plain")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+    def _bad_gateway(self, message: str) -> None:
+        self._reply(502, message, {"Content-Type": "text/plain"})
 
     def _resolve(self, host: str, port: int) -> list:
         infos = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
@@ -194,7 +201,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             try:
                 addrs = self._resolve(host, port)
             except OSError as exc:
-                self._bad_gateway(host, f"resolver failure for {host!r}: {exc}")
+                self._bad_gateway(f"resolver failure for {host!r}: {exc}")
                 return None, None
             for addr in addrs:
                 decision = decide(
@@ -251,15 +258,17 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         from urllib.parse import urlsplit
 
         if not self.path.startswith(("http://", "https://")):
-            body = b"proxy requires absolute-form request targets"
-            self.send_response(400)
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            self._reply(400, "proxy requires absolute-form request targets")
             return
         parts = urlsplit(self.path)
-        host, port = self._split_target(parts.netloc, 80)
+        length_text = (self.headers.get("Content-Length") or "").strip() or "0"
+        try:
+            host, port = self._split_target(parts.netloc, 80)
+            if not _is_decimal(length_text):
+                raise ValueError(f"bad Content-Length: {length_text!r}")
+        except ValueError as exc:
+            self._reply(400, str(exc))
+            return
         connect_addr, learn_host = self._gate(host, port)
         if connect_addr is None:
             return
@@ -267,12 +276,10 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         origin_path = parts.path or "/"
         if parts.query:
             origin_path += "?" + parts.query
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        length = int(length_text)
         body = self.rfile.read(length) if length else None
 
-        conn = http.client.HTTPConnection(
-            connect_addr[0], connect_addr[1], timeout=self.proxy.config.upstream_timeout_s
-        )
+        conn = http.client.HTTPConnection(*connect_addr, timeout=UPSTREAM_TIMEOUT_S)
         try:
             conn.connect()
             self._learn_peer(conn.sock, learn_host)
@@ -291,7 +298,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             response = conn.getresponse()
             payload = response.read()
         except OSError as exc:
-            self._bad_gateway(host, f"upstream connection failed: {exc}")
+            self._bad_gateway(f"upstream connection failed: {exc}")
             return
         finally:
             conn.close()
@@ -318,16 +325,18 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     # CONNECT tunneling
 
     def do_CONNECT(self):
-        host, port = self._split_target(self.path, 443)
+        try:
+            host, port = self._split_target(self.path, 443)
+        except ValueError as exc:
+            self._reply(400, str(exc))
+            return
         connect_addr, learn_host = self._gate(host, port)
         if connect_addr is None:
             return
         try:
-            upstream = socket.create_connection(
-                connect_addr, timeout=self.proxy.config.upstream_timeout_s
-            )
+            upstream = socket.create_connection(connect_addr, timeout=UPSTREAM_TIMEOUT_S)
         except OSError as exc:
-            self._bad_gateway(host, f"upstream connection failed: {exc}")
+            self._bad_gateway(f"upstream connection failed: {exc}")
             return
         self._learn_peer(upstream, learn_host)
         self.send_response(200, "Connection Established")
@@ -386,13 +395,6 @@ class BoundaryProxy:
         self._thread.start()
         self._sweeper.start()
         return self
-
-    def serve_forever(self) -> None:
-        self._sweeper.start()
-        try:
-            self._server.serve_forever()
-        finally:
-            self.log.flush()
 
     def stop(self) -> None:
         self._stopping.set()

@@ -163,12 +163,6 @@ def rotate_world_to_device(q: tuple, v: tuple) -> tuple:
     return out[1:]
 
 
-def rotate_device_to_world(q: tuple, v: tuple) -> tuple:
-    p = (0.0, *v)
-    out = _quat_mul(_quat_mul(q, p), _quat_conj(q))
-    return out[1:]
-
-
 def init_device_state(seed: FarbleSeed, epoch: ContextEpoch | None = None) -> DeviceState:
     """Generate the stationary device for a seed.
 

@@ -94,6 +94,24 @@ class TestProfileMatrix:
         assert result.stderr == f"action={action} group={MATRIX_GROUPS[command]}\n"
         assert digest == sha
 
+    @pytest.mark.parametrize("profile", ["p1", "p2", "p3"])
+    @pytest.mark.parametrize("args, message", [
+        (["farble", "geo", "--lat", "95", "--lon", "0"], "latitude out of range"),
+        (["farble", "geo", "--lat", "0", "--lon", "200"], "longitude out of range"),
+        (["farble", "geo", "--lat", "0", "--lon", "0", "--accuracy", "-1"], "accuracy"),
+        (["farble", "geo", "--lat", "0", "--lon", "0", "--precision", "0"], "precision"),
+        (["farble", "geo", "--lat", "0", "--lon", "0", "--precision", "nan"], "precision"),
+        (["spoof", "devices", "--count", "-1"], "count must be >= 0"),
+    ])
+    def test_bad_input_is_domain_error_in_every_profile(self, runner, profile, args, message):
+        result = runner.invoke(
+            main, args + ["--session", FIXED_SESSION, "--origin", ORIGIN, "--profile", profile]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert message in result.stderr
+        assert "action=" not in result.stderr  # rejected before any action applies
+
 
 class TestVersionAndUsage:
     def test_version_prints_schema_versions(self, runner):

@@ -150,7 +150,6 @@ class TestLearnCache:
         cache = LearnCache()
         observe_reply(cache, "printer.example", "192.168.1.5")
         assert cache.lookup("printer.example") is AddressClass.PRIVATE
-        assert cache.inserted_at("printer.example") is not None
 
     def test_last_write_wins(self):
         cache = LearnCache()

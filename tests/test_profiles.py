@@ -1,7 +1,10 @@
-"""Protection profile tables and endpoint routing."""
+"""Protection profile tables, endpoint routing, and the action dispatch."""
+
+import json
 
 import pytest
 
+from webshield.farble import AudioSamples, BitmapBuffer
 from webshield.profiles import (
     ENDPOINT_GROUPS,
     GROUPS,
@@ -10,7 +13,7 @@ from webshield.profiles import (
     ProtectionProfile,
     profiles_from_json,
     profiles_to_json,
-    resolve_group_action,
+    protect,
     resolve_protection,
 )
 
@@ -67,21 +70,63 @@ class TestResolution:
                 is ProtectionAction.PASS_THROUGH
             )
 
-    def test_unknown_group_passes_through(self):
-        assert resolve_group_action(PROFILES["p1"], "nope") is ProtectionAction.PASS_THROUGH
-
     def test_every_endpoint_group_exists(self):
         assert set(ENDPOINT_GROUPS.values()) <= set(GROUPS)
 
     def test_incomplete_profile_rejected(self):
-        broken = ProtectionProfile("px", {"canvas": ProtectionAction.BLOCK})
         with pytest.raises(ValueError):
-            resolve_protection(broken, "HTMLCanvasElement.prototype.toDataURL")
+            ProtectionProfile("px", {"canvas": ProtectionAction.BLOCK})
+
+    def test_unknown_group_rejected(self):
+        actions = dict(PROFILES["p1"].actions, nope=ProtectionAction.BLOCK)
+        with pytest.raises(ValueError):
+            ProtectionProfile("px", actions)
+
+
+class TestProtect:
+    def _must_not_lie(self, payload):
+        pytest.fail("little lie computed outside LITTLE_LIE")
+
+    def test_block_emits_nothing(self):
+        assert protect(ProtectionAction.BLOCK, "canvas", b"real", self._must_not_lie) is None
+
+    def test_pass_through_returns_payload(self):
+        payload = object()
+        assert protect(ProtectionAction.PASS_THROUGH, "geolocation", payload,
+                       self._must_not_lie) is payload
+
+    def test_little_lie_applied_to_payload(self):
+        assert protect(ProtectionAction.LITTLE_LIE, "canvas", 20, lambda p: p + 1) == 21
+
+    def test_fixed_fake_canvas_is_white_of_same_size(self):
+        bitmap = BitmapBuffer(2, 1, bytes(range(8)))
+        fake = protect(ProtectionAction.FIXED_FAKE, "canvas", bitmap, self._must_not_lie)
+        assert fake == BitmapBuffer(2, 1, b"\xff" * 8)
+
+    def test_fixed_fake_audio_is_silence_of_same_shape(self):
+        audio = AudioSamples(8000, [[0.5, -0.5, 0.25], [1.0, 0.0, -1.0]])
+        fake = protect(ProtectionAction.FIXED_FAKE, "audio", audio, self._must_not_lie)
+        assert fake.sample_rate == 8000
+        assert fake.channels == [[0.0] * 3, [0.0] * 3]
+
+    def test_fixed_fake_gpu_strings_are_generic(self):
+        fake = protect(ProtectionAction.FIXED_FAKE, "webgl", None, self._must_not_lie)
+        assert fake.as_dict() == {
+            "vendor": "Generic Vendor",
+            "renderer": "Generic Renderer",
+            "unmasked_vendor": "Generic Vendor",
+            "unmasked_renderer": "Generic Renderer",
+        }
+
+    def test_fixed_fake_without_a_fake_value_rejected(self):
+        with pytest.raises(ValueError):
+            protect(ProtectionAction.FIXED_FAKE, "sensors", None, self._must_not_lie)
 
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
         doc = profiles_to_json()
+        assert set(json.loads(doc)) == {"version", "profiles"}
         loaded = profiles_from_json(doc)
         assert set(loaded) == set(PROFILES)
         for pid in PROFILES:

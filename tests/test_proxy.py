@@ -199,6 +199,61 @@ class TestLearnOnReplyMode:
             proxy.stop()
 
 
+def raw_request(proxy_addr, head: str, timeout=2.0) -> bytes:
+    """Send one hand-written request head; return everything until close."""
+    with socket.create_connection(proxy_addr, timeout=timeout) as sock:
+        sock.sendall(head.encode())
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("head", [
+        "GET /relative HTTP/1.1\r\n\r\n",
+        "GET http://127.0.0.1:abc/ HTTP/1.1\r\n\r\n",
+        "GET http://127.0.0.1:0/ HTTP/1.1\r\n\r\n",
+        "GET http://127.0.0.1:70000/ HTTP/1.1\r\n\r\n",
+        "GET http://[::1]:abc/ HTTP/1.1\r\n\r\n",
+        "CONNECT 127.0.0.1:abc HTTP/1.1\r\n\r\n",
+        "CONNECT 127.0.0.1:99999 HTTP/1.1\r\n\r\n",
+        "POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: zz\r\n\r\n",
+        "POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+    ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
+            "connect-port-abc", "connect-port-99999", "length-zz", "length-negative"])
+    def test_bad_request_answered_400_and_proxy_keeps_serving(self, stub, tmp_path, head):
+        log = tmp_path / "decisions.jsonl"
+        # a loopback origin would let a well-formed request reach the stub
+        proxy = run_proxy(ProxyConfig(
+            mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK, log_path=log
+        ))
+        try:
+            reply = raw_request(proxy.address, head.format(port=stub.port))
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert stub.connections == 0
+            assert log.read_text() == ""
+            status, _, body = proxy_request(proxy.address, f"http://127.0.0.1:{stub.port}/next")
+            assert (status, body) == (200, b"stub-ok")
+        finally:
+            proxy.stop()
+
+    def test_valid_body_still_forwarded(self, stub):
+        proxy = run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+        try:
+            reply = raw_request(
+                proxy.address,
+                f"POST http://127.0.0.1:{stub.port}/ HTTP/1.1\r\n"
+                "Content-Length: 3 \r\n\r\nabc",
+            )
+            assert reply.startswith(b"HTTP/1.1 200 ")
+            assert stub.connections == 1
+        finally:
+            proxy.stop()
+
+
 class TestDecisionLog:
     def test_blocks_coalesce_within_window(self, stub, tmp_path):
         log = tmp_path / "coalesced.jsonl"

@@ -16,7 +16,7 @@ from webshield.sensorsim import (
     MODEL,
     SensorKind,
     init_device_state,
-    rotate_device_to_world,
+    rotate_world_to_device,
     sample,
 )
 from webshield.timeshield import ContextEpoch, ShieldConfig
@@ -141,7 +141,8 @@ class TestSample:
         for t_ms in [0.0, 500.0, 3600.0]:
             quat = sample(state, SensorKind.ORIENTATION_ABS, t_ms).value
             grav = sample(state, SensorKind.GRAVITY, t_ms).value
-            world = rotate_device_to_world(quat, grav)
+            conjugate = (quat[0], -quat[1], -quat[2], -quat[3])
+            world = rotate_world_to_device(conjugate, grav)
             assert abs(world[0]) <= 0.05
             assert abs(world[1]) <= 0.05
             assert abs(world[2] - (-GRAVITY_MS2)) <= 0.05
