@@ -34,7 +34,7 @@ from .fpd import (
     load_fpd_config,
 )
 from .keyrand import Origin, SessionKey, derive_seed, new_session_key
-from .nbs import AddressClass, LearnCache, NbsMode, decide
+from .nbs import AddressClass, LearnCache, NbsMode, decide, gate, split_authority
 from .profiles import PROFILES, TABLE_SCHEMA_VERSION, protect
 from .proxy import ProxyConfig, run_proxy
 from .sensorsim import SensorKind, init_device_state, sample
@@ -346,22 +346,19 @@ def nbs():
               default="preresolve", show_default=True)
 def nbs_check(origin_class, target, resolved, mode):
     """Decide one request and print the decision."""
-    import socket as socket_mod
-
     mode = NbsMode(mode)
     origin = AddressClass(origin_class)
-    if target.startswith("[") and "]" in target:
-        host = target[1 : target.index("]")]
-    elif target.count(":") == 1:
-        host = target.split(":", 1)[0]
+    if target.count(":") > 1 and not target.startswith("["):
+        host, port = target, 0  # bare IPv6 literal: its colons separate no port
     else:
-        host = target  # bare hostname, or bracketless IPv6 literal
-    if mode is NbsMode.PRE_RESOLVE and resolved is None:
+        host, port = _domain(split_authority, target, 0)
+    if resolved is not None:
+        decision = _domain(decide, mode, origin, host, resolved, LearnCache())
+    else:
         try:
-            resolved = socket_mod.getaddrinfo(host, None)[0][4][0]
+            decision, _ = gate(mode, origin, host, port, LearnCache())
         except OSError as exc:
             raise _DomainError(f"resolver failure for {host!r}: {exc}")
-    decision = _domain(decide, mode, origin, host, resolved, LearnCache())
     suffix = f": {decision.reason}" if decision.reason else ""
     click.echo(f"{decision.value.value}{suffix}")
 

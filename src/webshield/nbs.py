@@ -25,6 +25,7 @@ Two operating modes mirror what a deployment can know before sending:
 from __future__ import annotations
 
 import ipaddress
+import socket
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +55,7 @@ class Decision(Enum):
 class BoundaryDecision:
     value: Decision
     reason: str = ""
+    target: AddressClass | None = None  # class decided on; None on first contact
 
 
 _V4_RANGES = [
@@ -63,6 +65,8 @@ _V4_RANGES = [
     (ipaddress.ip_network("192.168.0.0/16"), AddressClass.PRIVATE),
     (ipaddress.ip_network("169.254.0.0/16"), AddressClass.LINK_LOCAL),
 ]
+
+_NAT64 = ipaddress.ip_network("64:ff9b::/96")
 
 _V6_RANGES = [
     (ipaddress.ip_network("fe80::/10"), AddressClass.LINK_LOCAL),
@@ -87,9 +91,15 @@ def parse_ip(value) -> ipaddress.IPv4Address | ipaddress.IPv6Address:
         ip = ipaddress.ip_address(value)
     except ValueError as exc:
         raise ValueError(f"malformed IP address: {value!r}") from exc
-    # v4-mapped v6 addresses classify as their embedded v4 address
-    if isinstance(ip, ipaddress.IPv6Address) and ip.ipv4_mapped is not None:
-        return ip.ipv4_mapped
+    # v6 addresses that embed a v4 address classify as that address:
+    # v4-mapped (::ffff:0:0/96), NAT64 (RFC 6052) and 6to4 (RFC 3056)
+    if isinstance(ip, ipaddress.IPv6Address):
+        if ip.ipv4_mapped is not None:
+            return ip.ipv4_mapped
+        if ip in _NAT64:
+            return ipaddress.IPv4Address(int(ip) & 0xFFFFFFFF)
+        if ip.sixtofour is not None:
+            return ip.sixtofour
     return ip
 
 
@@ -148,6 +158,24 @@ def observe_reply(cache: LearnCache, hostname: str, ip) -> LearnCache:
     return cache
 
 
+def split_authority(authority: str, default_port: int) -> tuple[str, int]:
+    """(host, port) of a ``host[:port]`` or ``[v6][:port]`` authority.
+
+    ValueError unless the port is 1-65535; a bare IPv6 literal is
+    rejected too, as its colons cannot be told from a port separator.
+    """
+    if authority.startswith("["):  # bracketed IPv6
+        host, _, rest = authority[1:].partition("]")
+        port_text = rest[1:] if rest.startswith(":") else rest
+    else:
+        host, _, port_text = authority.partition(":")
+    if not port_text:
+        return host, default_port
+    if not (port_text.isascii() and port_text.isdigit() and 0 < int(port_text) < 65536):
+        raise ValueError(f"bad port in request target {authority!r}")
+    return host, int(port_text)
+
+
 def _literal_ip(host: str):
     candidate = host.strip("[]")
     try:
@@ -182,42 +210,60 @@ def decide(
     the cache for known hostnames, and lets first contacts through to be
     learned.
     """
+    learned = ""
     if mode is NbsMode.PRE_RESOLVE:
         if resolved is None:
             raise ValueError(
                 f"pre-resolve mode needs a resolved address for {target_host!r}"
             )
         target = classify_address(resolved)
-        if crosses_boundary(origin_class, target):
-            return BoundaryDecision(
-                Decision.BLOCK, _block_reason(origin_class, target, target_host)
-            )
-        return BoundaryDecision(
-            Decision.ALLOW, f"{origin_class.value} -> {target.value}: no crossing"
-        )
-
-    literal = _literal_ip(target_host)
-    if literal is not None:
+    elif (literal := _literal_ip(target_host)) is not None:
         target = classify_address(literal)
-        if crosses_boundary(origin_class, target):
-            return BoundaryDecision(
-                Decision.BLOCK, _block_reason(origin_class, target, target_host)
-            )
+    else:
+        target = cache.lookup(target_host) if cache is not None else None
+        learned = "learned "
+    if target is None:
         return BoundaryDecision(
-            Decision.ALLOW, f"{origin_class.value} -> {target.value}: no crossing"
+            Decision.ALLOW_AND_LEARN,
+            f"first contact with {target_host!r}; peer address will be learned from the reply",
         )
-
-    cached = cache.lookup(target_host) if cache is not None else None
-    if cached is not None:
-        if crosses_boundary(origin_class, cached):
-            return BoundaryDecision(
-                Decision.BLOCK, _block_reason(origin_class, cached, target_host)
-            )
+    if crosses_boundary(origin_class, target):
         return BoundaryDecision(
-            Decision.ALLOW,
-            f"{origin_class.value} -> learned {cached.value}: no crossing",
+            Decision.BLOCK, _block_reason(origin_class, target, target_host), target
         )
     return BoundaryDecision(
-        Decision.ALLOW_AND_LEARN,
-        f"first contact with {target_host!r}; peer address will be learned from the reply",
+        Decision.ALLOW,
+        f"{origin_class.value} -> {learned}{target.value}: no crossing",
+        target,
     )
+
+
+def gate(
+    mode: NbsMode,
+    origin_class: AddressClass,
+    host: str,
+    port: int,
+    cache: LearnCache,
+) -> tuple[BoundaryDecision, tuple | None]:
+    """Decide a request to ``host:port`` and name the address to connect to.
+
+    Pre-resolve consults the resolver (IPv4 first) and decides every
+    address it returns: one crossing address blocks the request, else the
+    first address's decision stands and that address is the one to
+    connect to.  Learn-on-reply decides by literal or cache and connects
+    by name.  A blocked request gets no address.  Raises OSError when
+    the resolver fails.
+    """
+    if mode is NbsMode.LEARN_ON_REPLY:
+        decision = decide(mode, origin_class, host, None, cache)
+        return decision, None if decision.value is Decision.BLOCK else (host, port)
+    infos = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+    # prefer IPv4 so loopback targets resolve to 127.0.0.1 deterministically
+    infos.sort(key=lambda info: info[0] != socket.AF_INET)
+    first = None
+    for info in infos:
+        decision = decide(mode, origin_class, host, info[4][0])
+        if decision.value is Decision.BLOCK:
+            return decision, None
+        first = first or decision
+    return first, infos[0][4][:2]

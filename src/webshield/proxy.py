@@ -30,14 +30,15 @@ from .nbs import (
     Decision,
     LearnCache,
     NbsMode,
-    classify_address,
-    decide,
+    gate,
     observe_reply,
+    split_authority,
 )
 
 BLOCK_REASON_HEADER = "X-Boundary-Block-Reason"
 COALESCE_WINDOW_S = 10.0
 UPSTREAM_TIMEOUT_S = 10.0
+MAX_BODY_BYTES = 16 * 1024 * 1024  # larger declared bodies get a 413
 
 _HOP_BY_HOP = {
     "connection",
@@ -135,10 +136,6 @@ class DecisionLog:
                 self._write_pending(key)
 
 
-def _is_decimal(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
 class _ProxyHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "webshield-nbs"
@@ -152,19 +149,6 @@ class _ProxyHandler(BaseHTTPRequestHandler):
 
     def log_message(self, fmt, *args):  # silence default stderr chatter
         pass
-
-    def _split_target(self, netloc: str, default_port: int) -> tuple[str, int]:
-        """(host, port) of an authority; ValueError unless the port is 1-65535."""
-        if netloc.startswith("["):  # bracketed IPv6
-            host, _, rest = netloc[1:].partition("]")
-            port_text = rest[1:] if rest.startswith(":") else rest
-        else:
-            host, _, port_text = netloc.partition(":")
-        if not port_text:
-            return host, default_port
-        if not (_is_decimal(port_text) and 0 < int(port_text) < 65536):
-            raise ValueError(f"bad port in request target {netloc!r}")
-        return host, int(port_text)
 
     def _reply(self, status: int, body: str, headers: dict | None = None) -> None:
         """Send a complete response and close the connection."""
@@ -184,63 +168,27 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     def _bad_gateway(self, message: str) -> None:
         self._reply(502, message, {"Content-Type": "text/plain"})
 
-    def _resolve(self, host: str, port: int) -> list:
-        infos = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
-        # prefer IPv4 so loopback tests hit 127.0.0.1 deterministically
-        infos.sort(key=lambda info: info[0] != socket.AF_INET)
-        return [info[4] for info in infos]
-
     def _gate(self, host: str, port: int):
-        """Run the boundary decision for a target.
+        """Run the boundary gate for a target and log its decision.
 
         Returns (connect_address_or_None, learned_hostname_or_None);
         None address means the response has already been sent.
         """
         proxy = self.proxy
-        if proxy.config.mode is NbsMode.PRE_RESOLVE:
-            try:
-                addrs = self._resolve(host, port)
-            except OSError as exc:
-                self._bad_gateway(f"resolver failure for {host!r}: {exc}")
-                return None, None
-            for addr in addrs:
-                decision = decide(
-                    NbsMode.PRE_RESOLVE, proxy.config.origin_class, host, addr[0]
-                )
-                if decision.value is Decision.BLOCK:
-                    self._deny(host, classify_address(addr[0]).value, decision.reason)
-                    return None, None
-            first = addrs[0]
-            proxy.log.log(
-                host,
-                classify_address(first[0]).value,
-                Decision.ALLOW.value,
-                f"no boundary crossing for {host!r}",
+        try:
+            decision, address = gate(
+                proxy.config.mode, proxy.config.origin_class, host, port, proxy.cache
             )
-            return (first[0], first[1]), None
-
-        decision = decide(
-            NbsMode.LEARN_ON_REPLY,
-            proxy.config.origin_class,
-            host,
-            None,
-            proxy.cache,
-        )
-        cls = self._target_class(host)
-        if decision.value is Decision.BLOCK:
+        except OSError as exc:
+            self._bad_gateway(f"resolver failure for {host!r}: {exc}")
+            return None, None
+        cls = decision.target.value if decision.target else "unknown"
+        if address is None:
             self._deny(host, cls, decision.reason)
             return None, None
-        learned = host if decision.value is Decision.ALLOW_AND_LEARN else None
         proxy.log.log(host, cls, decision.value.value, decision.reason)
-        return (host, port), learned
-
-    def _target_class(self, host: str) -> str:
-        """Best-known class string: literal address, learned entry, or unknown."""
-        try:
-            return classify_address(host.strip("[]")).value
-        except ValueError:
-            cached = self.proxy.cache.lookup(host)
-            return cached.value if cached else "unknown"
+        learned = host if decision.value is Decision.ALLOW_AND_LEARN else None
+        return address, learned
 
     def _learn_peer(self, sock: socket.socket, hostname: str | None) -> None:
         if hostname is None:
@@ -263,11 +211,15 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         parts = urlsplit(self.path)
         length_text = (self.headers.get("Content-Length") or "").strip() or "0"
         try:
-            host, port = self._split_target(parts.netloc, 80)
-            if not _is_decimal(length_text):
+            host, port = split_authority(parts.netloc, 80)
+            if not (length_text.isascii() and length_text.isdigit()):
                 raise ValueError(f"bad Content-Length: {length_text!r}")
         except ValueError as exc:
             self._reply(400, str(exc))
+            return
+        length = int(length_text)
+        if length > MAX_BODY_BYTES:
+            self._reply(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
             return
         connect_addr, learn_host = self._gate(host, port)
         if connect_addr is None:
@@ -276,7 +228,6 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         origin_path = parts.path or "/"
         if parts.query:
             origin_path += "?" + parts.query
-        length = int(length_text)
         body = self.rfile.read(length) if length else None
 
         conn = http.client.HTTPConnection(*connect_addr, timeout=UPSTREAM_TIMEOUT_S)
@@ -326,7 +277,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
 
     def do_CONNECT(self):
         try:
-            host, port = self._split_target(self.path, 443)
+            host, port = split_authority(self.path, 443)
         except ValueError as exc:
             self._reply(400, str(exc))
             return
@@ -391,7 +342,11 @@ class BoundaryProxy:
             self.log.sweep()
 
     def start(self) -> "BoundaryProxy":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever to notice the request between
+        # polls; the default 0.5 s interval would make every stop that slow
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         self._sweeper.start()
         return self

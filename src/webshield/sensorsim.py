@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .keyrand import FarbleSeed, uniform01, uniform_range
-from .timeshield import ContextEpoch, ShieldConfig, sensor_timestamp, time_subseed
+from .timeshield import ShieldConfig, shield_timestamp, time_subseed
 
 GRAVITY_MS2 = 9.80665
 
@@ -95,7 +95,6 @@ class DeviceState:
     mag_banks: tuple  # one SineBank per axis
     ambient_lux: float
     noise_scales: dict = field(default_factory=dict)
-    context_epoch: ContextEpoch = ContextEpoch(0.0)
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def rotate_world_to_device(q: tuple, v: tuple) -> tuple:
     return out[1:]
 
 
-def init_device_state(seed: FarbleSeed, epoch: ContextEpoch | None = None) -> DeviceState:
+def init_device_state(seed: FarbleSeed) -> DeviceState:
     """Generate the stationary device for a seed.
 
     Attitude is uniform over rotations; the magnetic baseline points in a
@@ -220,7 +219,6 @@ def init_device_state(seed: FarbleSeed, epoch: ContextEpoch | None = None) -> De
         mag_banks=tuple(banks),
         ambient_lux=ambient,
         noise_scales=scales,
-        context_epoch=epoch or ContextEpoch(0.0),
     )
 
 
@@ -308,8 +306,5 @@ def sample(
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown sensor kind: {kind!r}")
 
-    epoch = state.context_epoch
-    timestamp = sensor_timestamp(
-        time_subseed(state.seed), epoch, epoch.epoch_ms + t_ms, shield_cfg
-    )
+    timestamp = shield_timestamp(time_subseed(state.seed), t_ms, shield_cfg)
     return SensorReading(kind=kind, value=value, timestamp_ms=timestamp)

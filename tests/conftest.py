@@ -1,3 +1,5 @@
+import socket
+
 import pytest
 
 from webshield.keyrand import Origin, SessionKey, derive_seed
@@ -45,3 +47,24 @@ def sensor_seed():
 @pytest.fixture
 def geo_seed():
     return derive_seed(ZERO_KEY, ORIGIN_A, "geo")
+
+
+MIXED_HOST = "mixed.example"
+
+
+@pytest.fixture
+def mixed_resolver(monkeypatch):
+    """Resolve MIXED_HOST to a public and then a loopback address; other
+    names go to the real resolver."""
+    real = socket.getaddrinfo
+
+    def fake(host, port, *args, **kwargs):
+        if host != MIXED_HOST:
+            return real(host, port, *args, **kwargs)
+        return [
+            (socket.AF_INET, socket.SOCK_STREAM, 6, "", (ip, port or 0))
+            for ip in ("93.184.216.34", "127.0.0.1")
+        ]
+
+    monkeypatch.setattr(socket, "getaddrinfo", fake)
+    return MIXED_HOST

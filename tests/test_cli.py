@@ -513,6 +513,24 @@ class TestNbsCli:
         )
         assert result.exit_code == 1
 
+    def test_check_blocks_host_with_one_crossing_address(self, runner, mixed_resolver):
+        result = runner.invoke(main, ["nbs", "check", "--target", f"{mixed_resolver}:8080"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "Block: request from public origin would cross the network boundary "
+            f"into loopback target {mixed_resolver!r}\n"
+        )
+
+    @pytest.mark.parametrize("target", ["site.example:abc", "site.example:70000"])
+    @pytest.mark.parametrize("mode", ["preresolve", "learn"])
+    def test_check_bad_port_is_domain_error(self, runner, target, mode):
+        result = runner.invoke(
+            main, ["nbs", "check", "--target", target, "--mode", mode,
+                   "--resolved", "93.184.216.34"]
+        )
+        assert result.exit_code == 1
+        assert "bad port" in result.output
+
     @pytest.mark.parametrize(
         "target",
         ["[::1]:8080", "[::1]", "::1"],

@@ -6,6 +6,7 @@ independently written rank table.
 """
 
 import ipaddress
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from webshield.nbs import (
     classify_address,
     crosses_boundary,
     decide,
+    gate,
     observe_reply,
+    split_authority,
 )
 
 REPRESENTATIVE = {
@@ -65,6 +68,18 @@ class TestClassify:
             ("fc00::1", AddressClass.UNIQUE_LOCAL),
             ("fd12:3456::1", AddressClass.UNIQUE_LOCAL),
             ("2606:2800:220:1::1", AddressClass.PUBLIC),
+            # v6 addresses embedding v4: NAT64 (64:ff9b::/96) and 6to4 (2002::/16)
+            ("64:ff9b::7f00:1", AddressClass.LOOPBACK),
+            ("64:ff9b::a00:1", AddressClass.PRIVATE),
+            ("64:ff9b::a9fe:101", AddressClass.LINK_LOCAL),
+            ("64:ff9b::5db8:d822", AddressClass.PUBLIC),
+            ("64:ff9b::", AddressClass.UNSPECIFIED),
+            ("64:ff9b:1::7f00:1", AddressClass.PUBLIC),
+            ("2002:7f00:1::", AddressClass.LOOPBACK),
+            ("2002:c0a8:105::1", AddressClass.PRIVATE),
+            ("2002:5db8:d822::1", AddressClass.PUBLIC),
+            ("0.0.0.1", AddressClass.PUBLIC),
+            ("::2", AddressClass.PUBLIC),
         ],
     )
     def test_examples(self, ip, expected):
@@ -270,7 +285,109 @@ class TestDecide:
             got = decide(NbsMode.LEARN_ON_REPLY, src, "host.example", None, LearnCache())
             assert got.value is Decision.ALLOW_AND_LEARN
 
+    def test_target_names_the_class_decided_on(self):
+        for src in AddressClass:
+            for dst, ip in REPRESENTATIVE.items():
+                cache = LearnCache()
+                observe_reply(cache, "host.example", ip)
+                for got in (
+                    decide(NbsMode.PRE_RESOLVE, src, "host.example", ip),
+                    decide(NbsMode.LEARN_ON_REPLY, src, ip, None, LearnCache()),
+                    decide(NbsMode.LEARN_ON_REPLY, src, "host.example", None, cache),
+                ):
+                    assert got.value in (Decision.ALLOW, Decision.BLOCK)
+                    assert got.target is dst
+            first = decide(NbsMode.LEARN_ON_REPLY, src, "host.example", None, LearnCache())
+            assert first.value is Decision.ALLOW_AND_LEARN
+            assert first.target is None
+
+    def test_allow_reasons(self):
+        cache = LearnCache()
+        observe_reply(cache, "site.example", "93.184.216.34")
+        assert decide(
+            NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, "site.example", "93.184.216.34"
+        ).reason == "public -> public: no crossing"
+        assert decide(
+            NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "site.example", None, cache
+        ).reason == "public -> learned public: no crossing"
+
     def test_block_decision_reason_nonempty(self):
         decision = decide(NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, "x", "127.0.0.1")
         assert isinstance(decision, BoundaryDecision)
         assert decision.reason
+
+
+class TestSplitAuthority:
+    @pytest.mark.parametrize(
+        "authority,expected",
+        [
+            ("site.example", ("site.example", 80)),
+            ("site.example:8080", ("site.example", 8080)),
+            ("127.0.0.1:1", ("127.0.0.1", 1)),
+            ("[::1]", ("::1", 80)),
+            ("[::1]:65535", ("::1", 65535)),
+        ],
+    )
+    def test_forms(self, authority, expected):
+        assert split_authority(authority, 80) == expected
+
+    @pytest.mark.parametrize(
+        "authority",
+        ["site.example:abc", "site.example:0", "site.example:70000",
+         "site.example:+1", "[::1]:x", "[::1]x", "::1"],
+    )
+    def test_bad_port_rejected(self, authority):
+        with pytest.raises(ValueError):
+            split_authority(authority, 80)
+
+
+class TestGate:
+    def test_one_crossing_address_blocks(self, mixed_resolver):
+        decision, address = gate(
+            NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, mixed_resolver, 80, LearnCache()
+        )
+        assert decision.value is Decision.BLOCK
+        assert decision.target is AddressClass.LOOPBACK
+        assert address is None
+
+    def test_first_address_decides_and_is_connected_to(self, mixed_resolver):
+        decision, address = gate(
+            NbsMode.PRE_RESOLVE, AddressClass.LOOPBACK, mixed_resolver, 8080, LearnCache()
+        )
+        assert decision.value is Decision.ALLOW
+        assert decision.reason == "loopback -> public: no crossing"
+        assert decision.target is AddressClass.PUBLIC
+        assert address == ("93.184.216.34", 8080)
+
+    def test_ipv4_first(self, monkeypatch):
+        infos = [
+            (socket.AF_INET6, socket.SOCK_STREAM, 6, "", ("::1", 80, 0, 0)),
+            (socket.AF_INET, socket.SOCK_STREAM, 6, "", ("10.0.0.1", 80)),
+        ]
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *a, **k: list(infos))
+        decision, address = gate(
+            NbsMode.PRE_RESOLVE, AddressClass.LOOPBACK, "dual.example", 80, LearnCache()
+        )
+        assert decision.target is AddressClass.PRIVATE
+        assert address == ("10.0.0.1", 80)
+
+    def test_resolver_failure_raises(self):
+        with pytest.raises(OSError):
+            gate(NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, "no-such-host.invalid", 80,
+                 LearnCache())
+
+    def test_learn_mode_connects_by_name_without_resolving(self, monkeypatch):
+        def no_resolver(*args, **kwargs):
+            raise AssertionError("learn mode must not pre-resolve")
+
+        monkeypatch.setattr(socket, "getaddrinfo", no_resolver)
+        cache = LearnCache()
+        first, address = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "new.example",
+                              443, cache)
+        assert first.value is Decision.ALLOW_AND_LEARN
+        assert address == ("new.example", 443)
+        observe_reply(cache, "new.example", "127.0.0.1")
+        blocked, address = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "new.example",
+                                443, cache)
+        assert blocked.value is Decision.BLOCK
+        assert address is None

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from webshield.nbs import AddressClass, NbsMode
-from webshield.proxy import BLOCK_REASON_HEADER, ProxyConfig, run_proxy
+from webshield.proxy import BLOCK_REASON_HEADER, MAX_BODY_BYTES, ProxyConfig, run_proxy
 
 
 class CountingStub:
@@ -167,6 +167,32 @@ class TestPreResolveMode:
         finally:
             proxy.stop()
 
+    def test_one_crossing_address_blocks_the_host(self, stub, mixed_resolver):
+        proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
+        try:
+            status, headers, _ = proxy_request(
+                proxy.address, f"http://{mixed_resolver}:{stub.port}/probe"
+            )
+            assert status == 403
+            assert "loopback" in headers[BLOCK_REASON_HEADER]
+            assert stub.connections == 0
+        finally:
+            proxy.stop()
+
+    def test_nat64_loopback_tunnel_blocked(self, stub):
+        proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
+        try:
+            reply = raw_request(
+                proxy.address, f"CONNECT [64:ff9b::7f00:1]:{stub.port} HTTP/1.1\r\n\r\n"
+            )
+            assert reply.startswith(b"HTTP/1.1 403 ")
+            head = reply.split(b"\r\n\r\n", 1)[0].decode()
+            assert f"{BLOCK_REASON_HEADER}: " in head
+            assert "into loopback target" in head
+            assert stub.connections == 0
+        finally:
+            proxy.stop()
+
 
 class TestLearnOnReplyMode:
     def test_first_passes_then_blocked(self, stub):
@@ -186,6 +212,19 @@ class TestLearnOnReplyMode:
             assert "loopback" in headers2[BLOCK_REASON_HEADER]
         finally:
             proxy.stop()
+
+    def test_first_contact_logged_with_unknown_class(self, stub, tmp_path):
+        log = tmp_path / "learn.jsonl"
+        proxy = run_proxy(ProxyConfig(mode=NbsMode.LEARN_ON_REPLY, log_path=log))
+        try:
+            status, _, _ = proxy_request(proxy.address, f"http://localhost:{stub.port}/one")
+            assert status == 200
+        finally:
+            proxy.stop()
+        record = json.loads(log.read_text().splitlines()[0])
+        assert (record["host"], record["class"], record["decision"]) == (
+            "localhost", "unknown", "AllowAndLearn"
+        )
 
     def test_literal_ip_blocked_without_learning_phase(self, stub):
         proxy = run_proxy(ProxyConfig(mode=NbsMode.LEARN_ON_REPLY))
@@ -210,19 +249,25 @@ def raw_request(proxy_addr, head: str, timeout=2.0) -> bytes:
 
 
 class TestMalformedRequests:
-    @pytest.mark.parametrize("head", [
-        "GET /relative HTTP/1.1\r\n\r\n",
-        "GET http://127.0.0.1:abc/ HTTP/1.1\r\n\r\n",
-        "GET http://127.0.0.1:0/ HTTP/1.1\r\n\r\n",
-        "GET http://127.0.0.1:70000/ HTTP/1.1\r\n\r\n",
-        "GET http://[::1]:abc/ HTTP/1.1\r\n\r\n",
-        "CONNECT 127.0.0.1:abc HTTP/1.1\r\n\r\n",
-        "CONNECT 127.0.0.1:99999 HTTP/1.1\r\n\r\n",
-        "POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: zz\r\n\r\n",
-        "POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+    @pytest.mark.parametrize("head,expected", [
+        ("GET /relative HTTP/1.1\r\n\r\n", 400),
+        ("GET http://127.0.0.1:abc/ HTTP/1.1\r\n\r\n", 400),
+        ("GET http://127.0.0.1:0/ HTTP/1.1\r\n\r\n", 400),
+        ("GET http://127.0.0.1:70000/ HTTP/1.1\r\n\r\n", 400),
+        ("GET http://[::1]:abc/ HTTP/1.1\r\n\r\n", 400),
+        ("CONNECT 127.0.0.1:abc HTTP/1.1\r\n\r\n", 400),
+        ("CONNECT 127.0.0.1:99999 HTTP/1.1\r\n\r\n", 400),
+        ("CONNECT ::1:{port} HTTP/1.1\r\n\r\n", 400),
+        ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: zz\r\n\r\n", 400),
+        ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+        ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n",
+         413),
     ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
-            "connect-port-abc", "connect-port-99999", "length-zz", "length-negative"])
-    def test_bad_request_answered_400_and_proxy_keeps_serving(self, stub, tmp_path, head):
+            "connect-port-abc", "connect-port-99999", "connect-bare-v6", "length-zz",
+            "length-negative", "length-huge"])
+    def test_bad_request_answered_4xx_and_proxy_keeps_serving(
+        self, stub, tmp_path, head, expected
+    ):
         log = tmp_path / "decisions.jsonl"
         # a loopback origin would let a well-formed request reach the stub
         proxy = run_proxy(ProxyConfig(
@@ -230,7 +275,7 @@ class TestMalformedRequests:
         ))
         try:
             reply = raw_request(proxy.address, head.format(port=stub.port))
-            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert reply.startswith(f"HTTP/1.1 {expected} ".encode())
             assert stub.connections == 0
             assert log.read_text() == ""
             status, _, body = proxy_request(proxy.address, f"http://127.0.0.1:{stub.port}/next")
@@ -249,6 +294,24 @@ class TestMalformedRequests:
                 "Content-Length: 3 \r\n\r\nabc",
             )
             assert reply.startswith(b"HTTP/1.1 200 ")
+            assert stub.connections == 1
+        finally:
+            proxy.stop()
+
+    def test_body_at_the_bound_reaches_the_target(self, stub):
+        proxy = run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+        try:
+            with socket.create_connection(proxy.address, timeout=10) as sock:
+                sock.sendall(
+                    f"POST http://127.0.0.1:{stub.port}/ HTTP/1.1\r\n"
+                    f"Content-Length: {MAX_BODY_BYTES}\r\n\r\n".encode()
+                    + bytes(MAX_BODY_BYTES)
+                )
+                # the stub reads only the first 64 KiB before it replies and
+                # closes, so the relay may end in 200 or 502; never in 413
+                assert not sock.recv(65536).startswith(b"HTTP/1.1 413 ")
             assert stub.connections == 1
         finally:
             proxy.stop()

@@ -19,7 +19,7 @@ from webshield.sensorsim import (
     rotate_world_to_device,
     sample,
 )
-from webshield.timeshield import ContextEpoch, ShieldConfig
+from webshield.timeshield import ShieldConfig, shield_timestamp, time_subseed
 
 SEED = derive_seed(SessionKey(bytes(32)), Origin.parse("https://a.example"), "sensor")
 SEED_B = derive_seed(SessionKey(bytes(32)), Origin.parse("https://b.example"), "sensor")
@@ -177,15 +177,14 @@ class TestTimestamps:
         reading = sample(state, SensorKind.GRAVITY, 123.456, cfg)
         assert reading.timestamp_ms == 120.0
 
-    def test_no_boot_leak(self):
-        # identical context-relative times under different clock origins
-        early = init_device_state(SEED, ContextEpoch(0.0))
-        late = init_device_state(SEED, ContextEpoch(1_000_000.0))
-        for t in [0.0, 99.0, 12_345.0]:
-            a = sample(early, SensorKind.MAGNETOMETER, t)
-            b = sample(late, SensorKind.MAGNETOMETER, t)
-            assert a.timestamp_ms == b.timestamp_ms
-            assert a.value == b.value
+    @pytest.mark.parametrize(
+        "t", [0.0, 9.999999999999998, 10.0, 99.99999999999999, 12_340.0, 12_349.999999999998]
+    )
+    def test_context_time_shielded_directly_at_bucket_edges(self, state, t):
+        # no clock origin is added and subtracted, so a time just below a
+        # bucket edge stays in its bucket
+        reading = sample(state, SensorKind.MAGNETOMETER, t)
+        assert reading.timestamp_ms == shield_timestamp(time_subseed(SEED), t)
 
     def test_timestamp_within_quantum(self, state):
         reading = sample(state, SensorKind.GRAVITY, 777.0)
