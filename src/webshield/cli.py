@@ -9,6 +9,7 @@ failure), 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -236,10 +237,12 @@ def sensors():
 @origin_option
 def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
     """Generate a sensor trace at a fixed rate."""
-    if rate <= 0 or duration < 0:
-        raise _DomainError("rate must be > 0 and duration >= 0")
+    if not (0 < rate < math.inf and 0 <= duration < math.inf and rate * duration < math.inf):
+        raise _DomainError(
+            "rate must be finite and > 0, duration finite and >= 0, and their product finite"
+        )
     state = init_device_state(derive_seed(session, origin, "sensor"))
-    shield_cfg = ShieldConfig(quantum_ms=quantum)
+    shield_cfg = _domain(ShieldConfig, quantum_ms=quantum)
     kind = SensorKind(kind)
     n = int(rate * duration)
     if fmt == "csv":
@@ -251,7 +254,7 @@ def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
             click.echo("t_ms,x,y,z")
     for i in range(n):
         t_ms = i * 1000.0 / rate
-        reading = sample(state, kind, t_ms, shield_cfg)
+        reading = _domain(sample, state, kind, t_ms, shield_cfg)
         value = reading.value
         if fmt == "jsonl":
             payload = list(value) if isinstance(value, tuple) else value
@@ -377,6 +380,8 @@ def nbs_proxy(listen, mode, origin_class, log_path):
     host, _, port_text = listen.rpartition(":")
     try:
         port = int(port_text)
+        if not 0 <= port <= 65535:
+            raise ValueError
     except ValueError:
         raise click.BadParameter(f"invalid listen address: {listen!r}")
     config = ProxyConfig(
@@ -389,7 +394,7 @@ def nbs_proxy(listen, mode, origin_class, log_path):
     try:
         service = run_proxy(config)
     except OSError as exc:
-        raise _DomainError(f"cannot bind {listen!r}: {exc}")
+        raise _DomainError(f"cannot start the proxy on {listen!r}: {exc}")
     bound_host, bound_port = service.address
     click.echo(f"listening on {bound_host}:{bound_port} mode={mode}")
     sys.stdout.flush()

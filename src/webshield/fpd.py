@@ -23,6 +23,7 @@ values already exfiltrated.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -182,6 +183,17 @@ def validate_config(cfg: FpdConfig) -> FpdConfig:
     return cfg
 
 
+def _number(value, location: str) -> float:
+    """A finite JSON number (a bool is not one) as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise FpdConfigError(location, f"expected a finite number, got {json.dumps(value)}")
+
+
 def _parse_group(doc, location: str) -> Group:
     if not isinstance(doc, dict):
         raise FpdConfigError(location, "group must be an object")
@@ -204,18 +216,21 @@ def _parse_group(doc, location: str) -> Group:
             unknown = set(entry) - _LEAF_FIELDS
             if unknown:
                 raise FpdConfigError(child_loc, f"unknown field {sorted(unknown)[0]!r}")
-            leaf = EndpointRule(entry["endpoint"], int(entry.get("min_calls", 1)))
-            children.append((float(entry["weight"]), leaf))
+            min_calls = entry.get("min_calls", 1)
+            if not isinstance(min_calls, int) or isinstance(min_calls, bool):
+                raise FpdConfigError(f"{child_loc}/min_calls",
+                                     f"expected an integer, got {json.dumps(min_calls)}")
+            weight = _number(entry["weight"], f"{child_loc}/weight")
+            children.append((weight, EndpointRule(entry["endpoint"], min_calls)))
         elif "group" in entry:
             unknown = set(entry) - _GROUP_CHILD_FIELDS
             if unknown:
                 raise FpdConfigError(child_loc, f"unknown field {sorted(unknown)[0]!r}")
-            children.append(
-                (float(entry["weight"]), _parse_group(entry["group"], f"{child_loc}/group"))
-            )
+            weight = _number(entry["weight"], f"{child_loc}/weight")
+            children.append((weight, _parse_group(entry["group"], f"{child_loc}/group")))
         else:
             raise FpdConfigError(child_loc, "child needs either 'endpoint' or 'group'")
-    return Group(str(doc["name"]), float(doc["threshold"]), children)
+    return Group(str(doc["name"]), _number(doc["threshold"], f"{location}/threshold"), children)
 
 
 def load_fpd_config(source: str | Path | dict) -> FpdConfig:
@@ -242,7 +257,7 @@ def load_fpd_config(source: str | Path | dict) -> FpdConfig:
         unknown = set(doc["severity"]) - _SEVERITY_FIELDS
         if unknown:
             raise FpdConfigError("/severity", f"unknown field {sorted(unknown)[0]!r}")
-        severity.update({k: float(v) for k, v in doc["severity"].items()})
+        severity.update({k: _number(v, f"/severity/{k}") for k, v in doc["severity"].items()})
     cfg = FpdConfig(_parse_group(doc["root"], "/root"), severity)
     return validate_config(cfg)
 
@@ -403,7 +418,7 @@ def load_trace(source: str | Path | dict) -> tuple[str, list]:
         doc = json.loads(source)
     else:
         doc = source
-    if not isinstance(doc, dict) or "events" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("events"), list):
         raise ValueError("trace must be an object with an 'events' array")
     events = []
     for i, entry in enumerate(doc["events"]):
@@ -415,7 +430,7 @@ def load_trace(source: str | Path | dict) -> tuple[str, list]:
                     count=int(entry.get("count", 1)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid trace event at index {i}: {exc}") from exc
     return str(doc.get("page", "")), events
 

@@ -153,6 +153,8 @@ def keystream_bytes(seed: FarbleSeed, offset: int, length: int) -> bytes:
         return b""
     first = offset // _BLOCK_LEN
     last = (offset + length - 1) // _BLOCK_LEN
+    if last >= 1 << 64:
+        raise ValueError("keystream read ends past block 2**64 - 1 (64-bit block counter)")
     chunks = [keystream_block(seed, j) for j in range(first, last + 1)]
     start = offset % _BLOCK_LEN
     return b"".join(chunks)[start : start + length]

@@ -60,80 +60,59 @@ class ProxyConfig:
     mode: NbsMode = NbsMode.PRE_RESOLVE
     origin_class: AddressClass = AddressClass.PUBLIC
     log_path: Path | None = None
-    coalesce_window_s: float = COALESCE_WINDOW_S
 
 
 class DecisionLog:
-    """JSONL decision log with per-target coalescing of blocks."""
+    """JSONL decision log with per-target coalescing of blocks.
 
-    def __init__(self, path: Path | None, window_s: float = COALESCE_WINDOW_S):
-        self._path = Path(path) if path else None
-        self._window_s = window_s
-        self._lock = threading.Lock()
-        self._pending: dict = {}  # key -> {record, count, window_start}
-        if self._path:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._path.touch()
+    The file stays open until ``close``; every line is flushed as written.
+    """
+
+    def __init__(self, path: Path | None):
+        self._lock = threading.RLock()  # close() flushes while holding it
+        self._pending: dict = {}  # (host, class) -> (record, window_start)
+        self._file = None
+        if path:
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = open(path, "a")
 
     def _write(self, record: dict) -> None:
-        if not self._path:
-            return
-        with open(self._path, "a") as f:
-            f.write(json.dumps(record) + "\n")
-
-    @staticmethod
-    def _record(host: str, cls: str, decision: str, reason: str, coalesced: int) -> dict:
-        return {
-            "t": datetime.now(timezone.utc).isoformat(),
-            "host": host,
-            "class": cls,
-            "decision": decision,
-            "reason": reason,
-            "coalesced": coalesced,
-        }
+        if self._file:  # None once closed: late lines are dropped
+            self._file.write(json.dumps(record) + "\n")
+            self._file.flush()
 
     def log(self, host: str, cls: str, decision: str, reason: str) -> None:
-        if decision != Decision.BLOCK.value:
-            with self._lock:
-                self._write(self._record(host, cls, decision, reason, 1))
-            return
-        now = time.monotonic()
-        key = (host, cls)
         with self._lock:
-            pending = self._pending.get(key)
-            if pending and now - pending["window_start"] < self._window_s:
-                pending["count"] += 1
+            record = {"t": datetime.now(timezone.utc).isoformat(), "host": host, "class": cls,
+                      "decision": decision, "reason": reason, "coalesced": 1}
+            if decision != Decision.BLOCK.value:
+                self._write(record)
+                return
+            now = time.monotonic()
+            pending = self._pending.get((host, cls))
+            if pending and now - pending[1] < COALESCE_WINDOW_S:
+                pending[0]["coalesced"] += 1
                 return
             if pending:
-                self._write_pending(key)
-            self._pending[key] = {
-                "record": self._record(host, cls, decision, reason, 1),
-                "count": 1,
-                "window_start": now,
-            }
+                self._write(pending[0])
+            self._pending[(host, cls)] = (record, now)
 
-    def _write_pending(self, key) -> None:
-        pending = self._pending.pop(key, None)
-        if pending:
-            record = pending["record"]
-            record["coalesced"] = pending["count"]
-            self._write(record)
-
-    def sweep(self) -> None:
-        """Flush block windows whose coalescing interval has expired."""
+    def flush(self, min_age_s: float = 0.0) -> None:
+        """Write the block windows that have been open at least ``min_age_s``."""
         now = time.monotonic()
         with self._lock:
-            for key in [
-                k
-                for k, p in self._pending.items()
-                if now - p["window_start"] >= self._window_s
-            ]:
-                self._write_pending(key)
+            for key, (record, window_start) in list(self._pending.items()):
+                if now - window_start >= min_age_s:
+                    del self._pending[key]
+                    self._write(record)
 
-    def flush(self) -> None:
+    def close(self) -> None:
         with self._lock:
-            for key in list(self._pending):
-                self._write_pending(key)
+            self.flush()
+            if self._file:
+                self._file.close()
+                self._file = None
 
 
 class _ProxyHandler(BaseHTTPRequestHandler):
@@ -142,10 +121,6 @@ class _ProxyHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     # decision plumbing
-
-    @property
-    def proxy(self) -> "BoundaryProxy":
-        return self.server.boundary_proxy
 
     def log_message(self, fmt, *args):  # silence default stderr chatter
         pass
@@ -162,7 +137,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _deny(self, host: str, cls: str, reason: str) -> None:
-        self.proxy.log.log(host, cls, Decision.BLOCK.value, reason)
+        self.server.log.log(host, cls, Decision.BLOCK.value, reason)
         self._reply(403, reason, {BLOCK_REASON_HEADER: reason, "Content-Type": "text/plain"})
 
     def _bad_gateway(self, message: str) -> None:
@@ -174,10 +149,10 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         Returns (connect_address_or_None, learned_hostname_or_None);
         None address means the response has already been sent.
         """
-        proxy = self.proxy
+        server = self.server
         try:
             decision, address = gate(
-                proxy.config.mode, proxy.config.origin_class, host, port, proxy.cache
+                server.config.mode, server.config.origin_class, host, port, server.cache
             )
         except OSError as exc:
             self._bad_gateway(f"resolver failure for {host!r}: {exc}")
@@ -186,7 +161,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         if address is None:
             self._deny(host, cls, decision.reason)
             return None, None
-        proxy.log.log(host, cls, decision.value.value, decision.reason)
+        server.log.log(host, cls, decision.value.value, decision.reason)
         learned = host if decision.value is Decision.ALLOW_AND_LEARN else None
         return address, learned
 
@@ -197,7 +172,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             peer = sock.getpeername()[0]
         except OSError:
             return
-        observe_reply(self.proxy.cache, hostname, peer)
+        observe_reply(self.server.cache, hostname, peer)
 
     # ------------------------------------------------------------------
     # plain HTTP forwarding
@@ -316,50 +291,49 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
 
-class BoundaryProxy:
+class BoundaryProxy(ThreadingHTTPServer):
     """Long-running filtering proxy service."""
 
+    daemon_threads = True
+
     def __init__(self, config: ProxyConfig):
+        super().__init__((config.listen_host, config.listen_port), _ProxyHandler)
         self.config = config
         self.cache = LearnCache()
-        self.log = DecisionLog(config.log_path, config.coalesce_window_s)
-        self._server = ThreadingHTTPServer(
-            (config.listen_host, config.listen_port), _ProxyHandler
-        )
-        self._server.daemon_threads = True
-        self._server.boundary_proxy = self
+        try:  # opened only once bound, so a failed bind leaves no open file
+            self.log = DecisionLog(config.log_path)
+        except OSError:
+            self.server_close()
+            raise
         self._thread: threading.Thread | None = None
-        self._sweeper = threading.Thread(target=self._sweep_loop, daemon=True)
-        self._stopping = threading.Event()
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
+        host, port = self.server_address[:2]
         return host, port
 
-    def _sweep_loop(self) -> None:
-        while not self._stopping.wait(0.5):
-            self.log.sweep()
+    def service_actions(self) -> None:
+        # serve_forever calls this after every poll, so an expired block
+        # window reaches the log within one poll interval
+        self.log.flush(COALESCE_WINDOW_S)
 
     def start(self) -> "BoundaryProxy":
         # shutdown() waits for serve_forever to notice the request between
         # polls; the default 0.5 s interval would make every stop that slow
         self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self._thread.start()
-        self._sweeper.start()
         return self
 
     def stop(self) -> None:
-        self._stopping.set()
-        self._server.shutdown()
-        self._server.server_close()
+        self.shutdown()
+        self.server_close()
         if self._thread:
             self._thread.join(timeout=5)
-        self.log.flush()
+        self.log.close()
 
 
 def run_proxy(config: ProxyConfig) -> BoundaryProxy:
-    """Bind and start the proxy in background threads; caller stops it."""
+    """Bind and start the proxy in a background thread; caller stops it."""
     return BoundaryProxy(config).start()

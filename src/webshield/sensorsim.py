@@ -278,8 +278,8 @@ def sample(
             kind = SensorKind(kind)
         except ValueError:
             raise ValueError(f"unknown sensor kind: {kind!r}") from None
-    if not t_ms >= 0:
-        raise ValueError(f"sample time must be >= 0, got {t_ms}")
+    if not 0 <= t_ms < math.inf:
+        raise ValueError(f"sample time must be finite and >= 0, got {t_ms}")
 
     if kind is SensorKind.MAGNETOMETER:
         t_s = t_ms / 1000.0

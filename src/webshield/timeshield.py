@@ -15,6 +15,7 @@ absolute boot time through them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -39,8 +40,8 @@ class ShieldConfig:
     randomize: bool = True
 
     def __post_init__(self):
-        if not self.quantum_ms > 0:
-            raise ValueError("quantum must be positive")
+        if not 0 < self.quantum_ms < math.inf:
+            raise ValueError("quantum must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ def shield_timestamp(seed: FarbleSeed, t_ms: float, cfg: ShieldConfig | None = N
     |out - t| stays below one quantum.
     """
     cfg = cfg or ShieldConfig()
-    if not t_ms >= 0:
-        raise ValueError(f"timestamp must be >= 0, got {t_ms}")
+    if not 0 <= t_ms < math.inf:
+        raise ValueError(f"timestamp must be finite and >= 0, got {t_ms}")
     bucket = int(t_ms // cfg.quantum_ms)
     base = bucket * cfg.quantum_ms
     if not cfg.randomize:
@@ -80,9 +81,10 @@ def shield_stream(
     cfg = cfg or ShieldConfig()
     last_bucket = None
     last_noise = 0.0
+    inf = math.inf  # a local: this check runs once per timestamp
     for t_ms in timestamps:
-        if not t_ms >= 0:
-            raise ValueError(f"timestamp must be >= 0, got {t_ms}")
+        if not 0 <= t_ms < inf:
+            raise ValueError(f"timestamp must be finite and >= 0, got {t_ms}")
         bucket = int(t_ms // cfg.quantum_ms)
         if not cfg.randomize:
             yield bucket * cfg.quantum_ms

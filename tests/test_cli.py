@@ -21,6 +21,14 @@ def runner():
     return CliRunner()
 
 
+def assert_clean_exit(result, code, message):
+    """The command failed with ``code`` and a one-line error, not a traceback."""
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == code
+    assert message in result.stderr
+    assert result.stderr.strip().splitlines()[-1].startswith("Error:")
+
+
 def write_white_bitmap(path, w=2, h=2):
     write_bitmap(path, BitmapBuffer(w, h, bytes([255, 255, 255, 255]) * (w * h)))
 
@@ -338,6 +346,19 @@ class TestTimeShield:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("line, message", [
+        ("inf", "timestamp must be finite and >= 0"),
+        ("nan", "timestamp must be finite and >= 0"),
+        ("1e308", "64-bit block counter"),
+    ])
+    def test_unshieldable_timestamp_is_domain_error(self, runner, line, message):
+        result = runner.invoke(
+            main,
+            ["time", "shield", "--origin", ORIGIN, "--session", FIXED_SESSION],
+            input=f"5\n{line}\n",
+        )
+        assert_clean_exit(result, 1, message)
+
 
 class TestSensorsGen:
     def test_csv_rows_and_header(self, runner):
@@ -392,6 +413,27 @@ class TestSensorsGen:
              "--origin", ORIGIN, "--session", FIXED_SESSION],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--rate", "1", "--duration", "1", "--quantum", "0"], "quantum must be positive"),
+        (["--rate", "1", "--duration", "1", "--quantum", "nan"], "quantum must be positive"),
+        (["--rate", "1", "--duration", "1", "--quantum", "inf"], "quantum must be positive"),
+        (["--rate", "nan", "--duration", "1"], "rate must be finite"),
+        (["--rate", "inf", "--duration", "1"], "rate must be finite"),
+        (["--rate", "1", "--duration", "inf"], "duration finite"),
+        (["--rate", "1", "--duration", "nan"], "duration finite"),
+        (["--rate", "1e200", "--duration", "1e200"], "their product finite"),
+        # three samples, but the second one's time overflows to inf
+        (["--rate", "3e-308", "--duration", "1e308"], "sample time must be finite"),
+    ], ids=["quantum-0", "quantum-nan", "quantum-inf", "rate-nan", "rate-inf", "duration-inf",
+            "duration-nan", "product-inf", "sample-time-inf"])
+    def test_bad_numbers_are_domain_errors(self, runner, args, message):
+        result = runner.invoke(
+            main,
+            ["sensors", "gen", "--sensor", "magnetometer", *args,
+             "--origin", ORIGIN, "--session", FIXED_SESSION],
+        )
+        assert_clean_exit(result, 1, message)
 
 
 class TestFpdCli:
@@ -458,6 +500,34 @@ class TestFpdCli:
         )
         assert result.exit_code == 0
         assert "fingerprinting detected" in result.output
+
+    @pytest.mark.parametrize("config_text, trace_text, message", [
+        ('{"version": 1, "root": {"name": "r", "threshold": null, "children": []}}', None,
+         "/root/threshold: expected a finite number, got null"),
+        ('{"version": 1, "root": {"name": "r", "threshold": 1, "children": '
+         '[{"weight": 1, "endpoint": "X", "min_calls": null}]}}', None,
+         "/root/children/0/min_calls: expected an integer, got null"),
+        ('{"version": 1, "root": {"name": "r", "threshold": 1, "children": '
+         '[{"weight": 1, "endpoint": "X", "min_calls": 2.9}]}}', None,
+         "/root/children/0/min_calls: expected an integer, got 2.9"),
+        ('{"version": 1, "root": {"name": "r", "threshold": 1, "children": '
+         '[{"weight": true, "endpoint": "X"}]}}', None,
+         "/root/children/0/weight: expected a finite number, got true"),
+        (None, '{"page": "p", "events": 5}', "'events' array"),
+        (None, '{"page": "p", "events": [{"t_ms": 1, "endpoint": "A", "count": 1e400}]}',
+         "invalid trace event at index 0"),
+    ], ids=["threshold-null", "min_calls-null", "min_calls-2.9", "weight-bool",
+            "events-int", "count-overflow"])
+    def test_wrong_types_are_domain_errors(
+        self, runner, tmp_path, config_text, trace_text, message
+    ):
+        trace = tmp_path / "t.json"
+        trace.write_text(trace_text or '{"page": "p", "events": []}')
+        args = ["fpd", "analyze", "--trace", str(trace)]
+        if config_text:
+            (tmp_path / "c.json").write_text(config_text)
+            args += ["--config", str(tmp_path / "c.json")]
+        assert_clean_exit(runner.invoke(main, args), 1, message)
 
     def test_invalid_config_is_domain_error(self, runner, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -530,6 +600,11 @@ class TestNbsCli:
         )
         assert result.exit_code == 1
         assert "bad port" in result.output
+
+    @pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:65536"])
+    def test_proxy_listen_port_out_of_range_is_usage_error(self, runner, listen):
+        result = runner.invoke(main, ["nbs", "proxy", "--listen", listen])
+        assert_clean_exit(result, 2, f"invalid listen address: {listen!r}")
 
     @pytest.mark.parametrize(
         "target",

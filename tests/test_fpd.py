@@ -170,6 +170,47 @@ class TestConfigValidation:
         with pytest.raises(FpdConfigError, match="no endpoint leaves"):
             load_fpd_config(doc)
 
+    @pytest.mark.parametrize("root, severity, location", [
+        ({"threshold": None}, None, "/root/threshold"),
+        ({"threshold": "1"}, None, "/root/threshold"),
+        ({"leaf": {"min_calls": None}}, None, "/root/children/0/min_calls"),
+        ({"leaf": {"min_calls": 2.9}}, None, "/root/children/0/min_calls"),
+        ({"leaf": {"min_calls": True}}, None, "/root/children/0/min_calls"),
+        ({"leaf": {"weight": True}}, None, "/root/children/0/weight"),
+        ({"leaf": {"weight": None}}, None, "/root/children/0/weight"),
+        ({"leaf": {"weight": float("inf")}}, None, "/root/children/0/weight"),
+        ({"leaf": {"weight": 10**400}}, None, "/root/children/0/weight"),
+        ({}, {"yellow": None}, "/severity/yellow"),
+        ({}, {"red": False}, "/severity/red"),
+    ], ids=["threshold-null", "threshold-string", "min_calls-null", "min_calls-2.9",
+            "min_calls-bool", "weight-bool", "weight-null", "weight-inf", "weight-huge-int",
+            "severity-null", "severity-bool"])
+    def test_wrong_type_rejected_at_its_location(self, root, severity, location):
+        leaf = {"weight": 1.0, "endpoint": "X", **root.get("leaf", {})}
+        doc = {"version": 1, "root": {
+            "name": "r", "threshold": root.get("threshold", 1.0), "children": [leaf]}}
+        if severity is not None:
+            doc["severity"] = severity
+        with pytest.raises(FpdConfigError) as excinfo:
+            load_fpd_config(doc)
+        assert excinfo.value.location == location
+
+    def test_nested_group_threshold_type_rejected_at_its_location(self):
+        doc = {"version": 1, "root": {"name": "r", "threshold": 1.0, "children": [
+            {"weight": 1, "group": {"name": "g", "threshold": None, "children": [
+                {"weight": 1, "endpoint": "X"}]}}]}}
+        with pytest.raises(FpdConfigError) as excinfo:
+            load_fpd_config(doc)
+        assert excinfo.value.location == "/root/children/0/group/threshold"
+
+    def test_integral_numbers_still_load(self):
+        doc = {"version": 1, "severity": {"yellow": 1, "orange": 1, "red": 2},
+               "root": {"name": "r", "threshold": 3, "children": [
+                   {"weight": 2, "endpoint": "X", "min_calls": 4}]}}
+        cfg = load_fpd_config(doc)
+        assert cfg.root == Group("r", 3.0, [(2.0, EndpointRule("X", 4))])
+        assert cfg.severity_fractions == {"yellow": 1.0, "orange": 1.0, "red": 2.0}
+
 
 class TestEvaluate:
     def test_empty_trace_green(self, cfg):
@@ -362,3 +403,14 @@ class TestTraceFormat:
     def test_not_an_object_rejected(self):
         with pytest.raises(ValueError):
             load_trace({"page": "x"})
+
+    @pytest.mark.parametrize("events", [5, None, "abc", {"t_ms": 1}])
+    def test_events_must_be_a_list(self, events):
+        with pytest.raises(ValueError, match="'events' array"):
+            load_trace({"page": "x", "events": events})
+
+    def test_overflowing_count_rejected_with_index(self):
+        text = ('{"events": [{"t_ms": 1, "endpoint": "A"}, '
+                '{"t_ms": 2, "endpoint": "B", "count": 1e400}]}')
+        with pytest.raises(ValueError, match="index 1"):
+            load_trace(text)

@@ -166,6 +166,14 @@ class TestKeystream:
         with pytest.raises(ValueError):
             FarbleSeed(b"tiny", "x")
 
+    def test_read_past_the_block_counter_rejected(self, canvas_seed):
+        end = 32 << 64  # first byte of block 2**64
+        last = hashlib.sha256(canvas_seed.value + struct.pack("<Q", 2**64 - 1)).digest()
+        assert keystream_bytes(canvas_seed, end - 32, 32) == last
+        for offset, length in [(end - 8, 9), (end, 1), (10**400, 8)]:
+            with pytest.raises(ValueError, match="64-bit block counter"):
+                keystream_bytes(canvas_seed, offset, length)
+
 
 class TestUniform01:
     def test_in_unit_interval(self, canvas_seed):

@@ -9,11 +9,26 @@ import json
 import socket
 import threading
 import time
+import types
 
 import pytest
 
+from webshield import proxy as proxy_module
 from webshield.nbs import AddressClass, NbsMode
-from webshield.proxy import BLOCK_REASON_HEADER, MAX_BODY_BYTES, ProxyConfig, run_proxy
+from webshield.proxy import (
+    BLOCK_REASON_HEADER,
+    MAX_BODY_BYTES,
+    DecisionLog,
+    ProxyConfig,
+    run_proxy,
+)
+
+# The proxy owns a listening socket, an open log file and a serve thread
+# for its whole life; a test that leaves one of them to the garbage
+# collector fails here instead of warning.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 
 class CountingStub:
@@ -320,9 +335,7 @@ class TestMalformedRequests:
 class TestDecisionLog:
     def test_blocks_coalesce_within_window(self, stub, tmp_path):
         log = tmp_path / "coalesced.jsonl"
-        proxy = run_proxy(
-            ProxyConfig(mode=NbsMode.PRE_RESOLVE, log_path=log, coalesce_window_s=10.0)
-        )
+        proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE, log_path=log))
         try:
             for _ in range(3):
                 status, _, _ = proxy_request(
@@ -337,11 +350,10 @@ class TestDecisionLog:
         assert blocks[0]["coalesced"] == 3
         assert blocks[0]["host"] == "127.0.0.1"
 
-    def test_sweeper_flushes_expired_window(self, stub, tmp_path):
+    def test_sweeper_flushes_expired_window(self, stub, tmp_path, monkeypatch):
         log = tmp_path / "swept.jsonl"
-        proxy = run_proxy(
-            ProxyConfig(mode=NbsMode.PRE_RESOLVE, log_path=log, coalesce_window_s=0.6)
-        )
+        monkeypatch.setattr(proxy_module, "COALESCE_WINDOW_S", 0.6)
+        proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE, log_path=log))
         try:
             status, _, _ = proxy_request(
                 proxy.address, f"http://127.0.0.1:{stub.port}/once"
@@ -375,3 +387,68 @@ class TestDecisionLog:
         assert set(record) == {"t", "host", "class", "decision", "reason", "coalesced"}
         assert record["decision"] == "Allow"
         assert record["coalesced"] == 1
+
+    def test_flush_writes_only_windows_open_that_long(self, tmp_path, monkeypatch):
+        clock = [100.0]
+        fake_time = types.SimpleNamespace(monotonic=lambda: clock[0])
+        monkeypatch.setattr(proxy_module, "time", fake_time)
+        path = tmp_path / "aged.jsonl"
+        log = DecisionLog(path)
+        try:
+            log.log("old.example", "loopback", "Block", "r")
+            clock[0] += 5.0
+            log.log("new.example", "loopback", "Block", "r")
+            log.log("new.example", "loopback", "Block", "r")
+            clock[0] += 1.0
+            log.flush(3.0)
+            hosts = [json.loads(l)["host"] for l in path.read_text().splitlines()]
+            assert hosts == ["old.example"]
+            log.flush()
+            records = [json.loads(l) for l in path.read_text().splitlines()]
+            assert [(r["host"], r["coalesced"]) for r in records] == [
+                ("old.example", 1), ("new.example", 2)
+            ]
+        finally:
+            log.close()
+
+    def test_file_holds_every_line_while_open(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        log = DecisionLog(path)
+        try:
+            for i in range(5):
+                log.log(f"h{i}.example", "public", "Allow", "")
+            lines = path.read_text().splitlines()
+            assert [json.loads(l)["host"] for l in lines] == [f"h{i}.example" for i in range(5)]
+        finally:
+            log.close()
+
+    def test_line_after_close_is_dropped(self, tmp_path):
+        path = tmp_path / "closed.jsonl"
+        log = DecisionLog(path)
+        log.log("blocked.example", "loopback", "Block", "r")
+        log.close()  # writes the open window
+        log.log("late.example", "public", "Allow", "")
+        log.log("late.example", "loopback", "Block", "r")
+        log.flush()
+        log.close()
+        hosts = [json.loads(l)["host"] for l in path.read_text().splitlines()]
+        assert hosts == ["blocked.example"]
+
+
+def test_proxy_runs_one_thread_of_its_own_and_stops_it():
+    before = set(threading.enumerate())
+    proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
+    try:
+        assert len(set(threading.enumerate()) - before) == 1  # the serve thread
+    finally:
+        started = time.monotonic()
+        proxy.stop()
+        elapsed = time.monotonic() - started
+    assert set(threading.enumerate()) - before == set()
+    assert elapsed < 1.0  # shutdown polls every 0.05 s
+
+
+def test_unopenable_log_closes_the_bound_socket(tmp_path):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):  # a leaked socket would raise ResourceWarning
+        run_proxy(ProxyConfig(log_path=tmp_path / "file" / "decisions.jsonl"))

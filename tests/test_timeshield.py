@@ -40,11 +40,29 @@ class TestShieldTimestamp:
         with pytest.raises(ValueError):
             shield_timestamp(SEED, -1.0, NOISY)
 
+    @pytest.mark.parametrize("t_ms", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("cfg", [PLAIN, NOISY], ids=["plain", "noisy"])
+    def test_non_finite_rejected(self, t_ms, cfg):
+        with pytest.raises(ValueError, match="timestamp must be finite and >= 0"):
+            shield_timestamp(SEED, t_ms, cfg)
+        with pytest.raises(ValueError, match="timestamp must be finite and >= 0"):
+            list(shield_stream(SEED, [5.0, t_ms], cfg))
+
+    def test_bucket_past_the_keystream_counter_rejected(self):
+        assert shield_timestamp(SEED, 1e308, PLAIN) == 1e308 // 10.0 * 10.0
+        with pytest.raises(ValueError, match="64-bit block counter"):
+            shield_timestamp(SEED, 1e308, NOISY)
+
     def test_bad_quantum_rejected(self):
         with pytest.raises(ValueError):
             ShieldConfig(quantum_ms=0.0)
         with pytest.raises(ValueError):
             ShieldConfig(quantum_ms=-5.0)
+
+    def test_infinite_quantum_rejected(self):
+        # 0 * inf would make every plain output NaN
+        with pytest.raises(ValueError, match="quantum must be positive and finite"):
+            ShieldConfig(quantum_ms=float("inf"))
 
     def test_same_bucket_same_noise(self):
         a = shield_timestamp(SEED, 120.0, NOISY)
