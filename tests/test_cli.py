@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from webshield.cli import main
 from webshield.farble import AudioSamples, BitmapBuffer
 from webshield.formats import read_audio, read_bitmap, write_audio, write_bitmap
+from webshield.fpd import analyze_trace, load_fpd_config
 
 FIXED_SESSION = "00" * 32
 ORIGIN = "https://a.example"
@@ -540,6 +541,168 @@ class TestFpdCli:
             main, ["fpd", "analyze", "--trace", str(trace), "--config", str(cfg_path)]
         )
         assert result.exit_code == 1
+
+
+# corpus trace -> (SHA-256 of `fpd analyze --mode block` stdout, of its --report file)
+FPD_GOLDEN = {
+    "benign_analytics_lite.json": (
+        "a3a53fecb4da9ef4f34cf31b1ee77e1d95562c20daeee4a2fd874b07d621369b",
+        "dffc487660fa320c5a7ce03fbe6d451a3624fded1178b5b860910c2c922dcd10"),
+    "benign_audio_player.json": (
+        "b08a9776799f4afc55b7fe7c41655f8ddf6da7edf03a70bcb4d7581ccbe79680",
+        "6aa630a6c131510f96917a8df47e7d56642a21248ad5f3dc5625c6c3befd074e"),
+    "benign_canvas_drawing.json": (
+        "1502c9d8a9a116a1d350a9da18b2fd07e6eeda4a7d20e094c9c2a7142e08bcbe",
+        "08a988b2b4b1740a6550af9bdf1182b61bcdfc657ecd4f47c9e548ad6999ab4c"),
+    "benign_form_page.json": (
+        "a89e22628e3ff7f49b45cfcc8486ee30068eca1a29a955e1de38eed888b83f97",
+        "3f689ff8272212d9e10e7aa41e4a3c55f34dd2037ad3583b897d694aef52b9e7"),
+    "benign_gamepad_game.json": (
+        "562ece575b3db695d80dc0b2d5973d942c200a565108e3b87862a13d618fd14d",
+        "dffdf03812df5045d8801c0cc7150ab608b46333d634b86fd2f2ed95b8a2c320"),
+    "benign_maps.json": (
+        "2d2a5cb61cfeef9f9b0d345b1dd55500ef3cb65f9e7e1d6fde2363b8a03b4cd1",
+        "8b8160a0a1522e455c080ec9f77e1c65946110078903c6dac75f47499c5d70fa"),
+    "benign_news_site.json": (
+        "d221e6782e4b30c78664578b5ca06656c50191ede92586ed60577709bd8f1fb1",
+        "490ab449e6bc19435ffbea3b682de2714ba275479e610c868f1269a4235993aa"),
+    "benign_photo_editor.json": (
+        "9d567e3f4cf2ec128b5054f1a64e884ead9b0ceaefca8a172facd7a832e5f01f",
+        "42ddf1b5d5f5888196cfa6150a40e3fd9e34709ff8696079733a83a6afc4c539"),
+    "benign_responsive_page.json": (
+        "837ff496c33c00f9ba2d07f9349c02648d27dcdf7d7cd63f2cd8255c41081ec3",
+        "5ceecddc3eace2215e766c26b9ed9e8457cd5288b1c9cef12202568e9ef95ddf"),
+    "benign_tts_reader.json": (
+        "beed7040903ad3da25458ce0ce319cdf8b94231de03da2a63a65b4071aa59475",
+        "1f42e61562362fbc9237d57bdc8a37e77e8095a68b8c8d006a8db5b65ac7a655"),
+    "benign_video_call.json": (
+        "271302b30de9eba1f3390fabede895cee10f9bbef58db942261104e85ec8f237",
+        "f300c546b029cf0cb3e53fd0f21fc3bc80a7c617c2a216abb5d4192d08a50e92"),
+    "benign_webgl_game.json": (
+        "ee300ec8cc441593ee0b7f3642af28f0f6a347a1ab34ca0c1c2db46ef11ed174",
+        "bffa7ca21e266f89ee50dd49a0fac7ecc4efb0c14be45044e5a1704d1afeacf8"),
+    "fp_audio_navigator.json": (
+        "a713f38aba2678b98830e44bdcbfd240f4df00a6b58d31c2e974be0a90be1a2c",
+        "06fbafc4d409ba27157863eb3f735ac0eeae7b7285f100b03f2168bdbb2e21b2"),
+    "fp_battery_hardware.json": (
+        "af8d4a70ff0021c318134da8b4fdf6cd64bc15e792e4211fe791692981dbf40d",
+        "a3608d64ddfc855b6aa3f81becb629039564e8be3c144c1814cce8fed725181f"),
+    "fp_bot_detector.json": (
+        "16614adefe3abf2dfd288d8fd8a63831ceb3fc6032aa06b77b0c7079742a5303",
+        "09a2522f0089a025359927647d87385f3d972e9642a79da7d050a033d5b8eff7"),
+    "fp_canvas_audio_mix.json": (
+        "3e673bc8e53325172e67c7bcf21308c358aa104284b2502475fe494e3c409ac2",
+        "85f05b27c18f90febb453d042c1f1ceb6f7560013b62272ebee32fd38d063756"),
+    "fp_font_enumeration.json": (
+        "875bdf74a08deaaabccaaa40a4f69d01e2a873aed6feb15493830e8f1e02f740",
+        "567a7759bf6f36753a71f10c76f96182d07b86a10589bbf950890e3760095519"),
+    "fp_fullsuite_library.json": (
+        "2d99291d3f7c9ab5ecd20bba59f2862a5df83989d7eab2c56abf89fe6651e2c7",
+        "e146be66068c60804cb4f761193d0a8dcd325a78f77d8c4099e83277e976bd71"),
+    "fp_locale_screen.json": (
+        "571ab48f8869e2ddf079bc0266ce2b1c41658229a98db44dd242b4deb2d457b8",
+        "52e4a0ace8d338ff547ddb78bedd4b9d0d3b2ad9569462effdd8b2851b45dd18"),
+    "fp_panopticon_style.json": (
+        "3160bf61bfe1835be102f7c7e8d91784ceeb9a152907f7e817df9fb00c83d4fe",
+        "25c53161e121ad5cc4633d737c2276e749cb54fc1888fedad15cb96b795ac0ff"),
+    "fp_sensor_probe.json": (
+        "02db12bba502698d065f14830c41950a2402991ea903a73e9793305b00f1f49d",
+        "2bc471c24d1e2ae7806a6461855ae3c7e82c54e943e7bbbf40f765014d8815f1"),
+    "fp_speech_canvas.json": (
+        "fff69f5b1df15393369a4a9b85c409b8895c686b9094429b6620d4bde9632737",
+        "7feb97d842cbd31154bd4b274f9b9995032f0f0cf527a9c81fff96d028e4a207"),
+    "fp_webgl_report.json": (
+        "c115f5c6126cd6cf1b9080ab8752cb67ef5ea937400e507d69b71aa4f20e4e34",
+        "2a69047c7cc26178218aef26c327718eb40f13f0ca4c1158491ce2f6b7cbe7f9"),
+    "fp_webrtc_leak.json": (
+        "75d62ecb45212d399656ba33680c6c1d463e92d34991bd97118f8d299240416d",
+        "ec06659d8b4da96fa2d1c3bab23077aca0850bb3f1dfe759e024b33daf7f170a"),
+}
+
+# Three levels deep: "outer" stays quiet although both of its subgroups
+# fire, "side" fires through its subgroup "deep", and the root's 0.1 leaf
+# makes the score depend on the order of float addition.
+NESTED_CONFIG = {"version": 1, "root": {"name": "r", "threshold": 7.0, "children": [
+    {"weight": 1.0, "group": {"name": "outer", "threshold": 100.0, "children": [
+        {"weight": 1.0, "group": {"name": "inner_a", "threshold": 2.0, "children": [
+            {"weight": 2.0, "endpoint": "A1"}, {"weight": 1.0, "endpoint": "A2"}]}},
+        {"weight": 1.0, "group": {"name": "inner_b", "threshold": 1.0, "children": [
+            {"weight": 1.0, "endpoint": "B1"}]}},
+        {"weight": 1.0, "endpoint": "O"}]}},
+    {"weight": 2.0, "group": {"name": "side", "threshold": 3.0, "children": [
+        {"weight": 1.0, "group": {"name": "deep", "threshold": 1.0, "children": [
+            {"weight": 1.5, "endpoint": "D", "min_calls": 2}]}},
+        {"weight": 2.0, "endpoint": "S"}]}},
+    {"weight": 0.1, "endpoint": "R"}]}}
+NESTED_TRACES = {
+    "detected": [("A1", 1), ("A2", 1), ("B1", 1), ("O", 1), ("D", 3), ("S", 1),
+                 ("R", 1), ("U", 4)],
+    "quiet": [("A1", 1), ("A2", 1), ("D", 1)],
+}
+NESTED_GOLDEN = {  # trace -> (stdout, report group order, fired_groups)
+    "detected": (
+        "page: p\n"
+        "verdict: fingerprinting detected (score 7.1, severity red)\n"
+        "group inner_a [fired]\n  A1: 1\n  A2: 1\n"
+        "group inner_b [fired]\n  B1: 1\n"
+        "group outer [quiet]\n  O: 1\n"
+        "group deep [fired]\n  D: 3\n"
+        "group side [fired]\n  S: 1\n"
+        "group r [fired]\n  R: 1\n"
+        "unclassified endpoints:\n  U: 4\n"
+        "directive: BlockSubsequentAsyncRequests\n"
+        "directive: ClearPageStorage\n",
+        ["inner_a", "inner_b", "outer", "deep", "side", "r"],
+        ("inner_a", "inner_b", "deep", "side", "r")),
+    "quiet": (
+        "page: p\n"
+        "verdict: not detected (score 0, severity green)\n"
+        "group inner_a [fired]\n  A1: 1\n  A2: 1\n"
+        "group deep [quiet]\n  D: 1\n",
+        ["inner_a", "deep"],
+        ("inner_a",)),
+}
+
+
+class TestFpdGolden:
+    @pytest.mark.parametrize("name", sorted(FPD_GOLDEN))
+    def test_corpus_output(self, runner, tmp_path, name):
+        from importlib import resources
+
+        trace = tmp_path / name
+        trace.write_text(
+            resources.files("webshield.data").joinpath(f"fpd_corpus/{name}").read_text()
+        )
+        report = tmp_path / "report.json"
+        result = runner.invoke(main, ["fpd", "analyze", "--trace", str(trace),
+                                      "--mode", "block", "--report", str(report)])
+        assert result.exit_code == 0
+        assert (hashlib.sha256(result.stdout.encode()).hexdigest(),
+                hashlib.sha256(report.read_bytes()).hexdigest()) == FPD_GOLDEN[name]
+
+    def test_corpus_is_pinned_whole(self):
+        from importlib import resources
+
+        corpus = resources.files("webshield.data").joinpath("fpd_corpus").iterdir()
+        assert sorted(p.name for p in corpus) == sorted(FPD_GOLDEN)
+
+    @pytest.mark.parametrize("trace_name", sorted(NESTED_TRACES))
+    def test_nested_config_output(self, runner, tmp_path, trace_name):
+        (tmp_path / "c.json").write_text(json.dumps(NESTED_CONFIG))
+        events = [{"t_ms": float(i), "endpoint": e, "count": c}
+                  for i, (e, c) in enumerate(NESTED_TRACES[trace_name])]
+        (tmp_path / "t.json").write_text(json.dumps({"page": "p", "events": events}))
+        report = tmp_path / "report.json"
+        result = runner.invoke(main, [
+            "fpd", "analyze", "--trace", str(tmp_path / "t.json"), "--config",
+            str(tmp_path / "c.json"), "--mode", "block", "--report", str(report)])
+        assert result.exit_code == 0
+        stdout, groups, fired = NESTED_GOLDEN[trace_name]
+        assert result.stdout == stdout
+        assert [g["name"] for g in json.loads(report.read_text())["groups"]] == groups
+        _state, verdict, _report = analyze_trace(
+            {"page": "p", "events": events}, load_fpd_config(NESTED_CONFIG))
+        assert verdict.fired_groups == fired
 
 
 class TestNbsCli:
