@@ -384,6 +384,8 @@ def nbs_proxy(listen, mode, origin_class, log_path):
             raise ValueError
     except ValueError:
         raise click.BadParameter(f"invalid listen address: {listen!r}")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]  # bracketed IPv6
     config = ProxyConfig(
         listen_host=host or "127.0.0.1",
         listen_port=port,
@@ -396,6 +398,8 @@ def nbs_proxy(listen, mode, origin_class, log_path):
     except OSError as exc:
         raise _DomainError(f"cannot start the proxy on {listen!r}: {exc}")
     bound_host, bound_port = service.address
+    if ":" in bound_host:
+        bound_host = f"[{bound_host}]"
     click.echo(f"listening on {bound_host}:{bound_port} mode={mode}")
     sys.stdout.flush()
 

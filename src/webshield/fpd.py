@@ -81,39 +81,18 @@ class ApiCallEvent:
 
 
 @dataclass(frozen=True)
-class EndpointRule:
-    """Leaf criterion: fires once the endpoint reaches min_calls."""
-
-    endpoint: str
-    min_calls: int = 1
-
-
-@dataclass
-class Group:
-    name: str
-    threshold: float
-    children: list  # of (weight, Group | EndpointRule)
-
-
-@dataclass
 class FpdConfig:
-    root: Group
-    severity_fractions: dict = field(
-        default_factory=lambda: dict(DEFAULT_SEVERITY_FRACTIONS)
-    )
+    """A detector config flattened into one table by ``load_fpd_config``.
 
-    def endpoints(self) -> set:
-        found = set()
+    ``groups`` holds each group as ``(name, threshold, children)`` in
+    post-order (children before their parent, the root last).  A child is
+    ``(weight, endpoint, min_calls)`` for a leaf or ``(weight, i)`` for
+    ``groups[i]``, in document order.
+    """
 
-        def walk(group: Group):
-            for _w, child in group.children:
-                if isinstance(child, EndpointRule):
-                    found.add(child.endpoint)
-                else:
-                    walk(child)
-
-        walk(self.root)
-        return found
+    groups: tuple
+    endpoints: frozenset
+    severity_fractions: dict
 
 
 @dataclass
@@ -138,49 +117,19 @@ def ingest(state: FpdState, event: ApiCallEvent) -> FpdState:
     return state
 
 
-def _validate_group(group, location: str, seen_names: dict, path_ids: set) -> None:
-    if not isinstance(group, Group):
-        raise FpdConfigError(location, f"expected a group, got {type(group).__name__}")
-    if id(group) in path_ids:
-        raise FpdConfigError(location, f"group {group.name!r} participates in a cycle")
-    if not group.name:
-        raise FpdConfigError(location, "group name must be non-empty")
-    if group.name in seen_names and seen_names[group.name] is not group:
-        raise FpdConfigError(location, f"duplicate group name {group.name!r}")
-    seen_names[group.name] = group
-    if not group.threshold >= 0:
-        raise FpdConfigError(location, f"threshold must be >= 0, got {group.threshold}")
-    path_ids = path_ids | {id(group)}
-    for i, entry in enumerate(group.children):
-        child_loc = f"{location}/children/{i}"
-        try:
-            weight, child = entry
-        except (TypeError, ValueError):
-            raise FpdConfigError(child_loc, "child must be a (weight, node) pair") from None
-        if not weight > 0:
-            raise FpdConfigError(child_loc, f"weight must be > 0, got {weight}")
-        if isinstance(child, EndpointRule):
-            if not child.endpoint:
-                raise FpdConfigError(child_loc, "endpoint must be non-empty")
-            if child.min_calls < 1:
-                raise FpdConfigError(
-                    child_loc, f"min_calls must be >= 1, got {child.min_calls}"
-                )
-        else:
-            _validate_group(child, child_loc, seen_names, path_ids)
+def _read(source: str | Path | dict):
+    if isinstance(source, Path):
+        source = source.read_text()
+    return json.loads(source) if isinstance(source, str) else source
 
 
-def validate_config(cfg: FpdConfig) -> FpdConfig:
-    _validate_group(cfg.root, "/root", {}, set())
-    if not cfg.endpoints():
-        raise FpdConfigError("/root", "config defines no endpoint leaves")
-    for key in _SEVERITY_FIELDS:
-        if key not in cfg.severity_fractions:
-            raise FpdConfigError("/severity", f"missing fraction {key!r}")
-    fr = cfg.severity_fractions
-    if not 0 < fr["yellow"] <= fr["orange"] <= fr["red"]:
-        raise FpdConfigError("/severity", "fractions must be positive and ordered")
-    return cfg
+def _fields(doc: dict, allowed: set, required: tuple, location: str) -> None:
+    unknown = set(doc) - allowed
+    if unknown:
+        raise FpdConfigError(location, f"unknown field {sorted(unknown)[0]!r}")
+    for req in required:
+        if req not in doc:
+            raise FpdConfigError(location, f"missing field {req!r}")
 
 
 def _number(value, location: str) -> float:
@@ -194,72 +143,87 @@ def _number(value, location: str) -> float:
     raise FpdConfigError(location, f"expected a finite number, got {json.dumps(value)}")
 
 
-def _parse_group(doc, location: str) -> Group:
+def _typed(value, kind: type, location: str):
+    """``value`` if it is a ``kind`` (str or int; a bool is not an int)."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    expected = "a string" if kind is str else "an integer"
+    raise FpdConfigError(location, f"expected {expected}, got {json.dumps(value)}")
+
+
+def _parse_group(doc, location: str, table: list, names: set, path: frozenset) -> None:
+    """Check one group document and append it to ``table`` after its subgroups."""
     if not isinstance(doc, dict):
         raise FpdConfigError(location, "group must be an object")
-    unknown = set(doc) - _GROUP_FIELDS
-    if unknown:
-        raise FpdConfigError(location, f"unknown field {sorted(unknown)[0]!r}")
-    for req in ("name", "threshold", "children"):
-        if req not in doc:
-            raise FpdConfigError(location, f"missing field {req!r}")
-    children = []
+    if id(doc) in path:
+        raise FpdConfigError(location, f"group {doc['name']!r} participates in a cycle")
+    _fields(doc, _GROUP_FIELDS, ("name", "threshold", "children"), location)
+    name = _typed(doc["name"], str, f"{location}/name")
+    if not name:
+        raise FpdConfigError(location, "group name must be non-empty")
+    if name in names:
+        raise FpdConfigError(location, f"duplicate group name {name!r}")
+    names.add(name)
+    threshold = _number(doc["threshold"], f"{location}/threshold")
+    if not threshold >= 0:
+        raise FpdConfigError(location, f"threshold must be >= 0, got {threshold}")
     if not isinstance(doc["children"], list):
         raise FpdConfigError(f"{location}/children", "children must be an array")
+    children = []
     for i, entry in enumerate(doc["children"]):
-        child_loc = f"{location}/children/{i}"
+        loc = f"{location}/children/{i}"
         if not isinstance(entry, dict):
-            raise FpdConfigError(child_loc, "child must be an object")
-        if "weight" not in entry:
-            raise FpdConfigError(child_loc, "missing field 'weight'")
+            raise FpdConfigError(loc, "child must be an object")
         if "endpoint" in entry:
-            unknown = set(entry) - _LEAF_FIELDS
-            if unknown:
-                raise FpdConfigError(child_loc, f"unknown field {sorted(unknown)[0]!r}")
-            min_calls = entry.get("min_calls", 1)
-            if not isinstance(min_calls, int) or isinstance(min_calls, bool):
-                raise FpdConfigError(f"{child_loc}/min_calls",
-                                     f"expected an integer, got {json.dumps(min_calls)}")
-            weight = _number(entry["weight"], f"{child_loc}/weight")
-            children.append((weight, EndpointRule(entry["endpoint"], min_calls)))
+            _fields(entry, _LEAF_FIELDS, ("weight",), loc)
         elif "group" in entry:
-            unknown = set(entry) - _GROUP_CHILD_FIELDS
-            if unknown:
-                raise FpdConfigError(child_loc, f"unknown field {sorted(unknown)[0]!r}")
-            weight = _number(entry["weight"], f"{child_loc}/weight")
-            children.append((weight, _parse_group(entry["group"], f"{child_loc}/group")))
+            _fields(entry, _GROUP_CHILD_FIELDS, ("weight",), loc)
         else:
-            raise FpdConfigError(child_loc, "child needs either 'endpoint' or 'group'")
-    return Group(str(doc["name"]), _number(doc["threshold"], f"{location}/threshold"), children)
+            raise FpdConfigError(loc, "child needs either 'endpoint' or 'group'")
+        weight = _number(entry["weight"], f"{loc}/weight")
+        if not weight > 0:
+            raise FpdConfigError(loc, f"weight must be > 0, got {weight}")
+        if "group" in entry:
+            _parse_group(entry["group"], f"{loc}/group", table, names, path | {id(doc)})
+            children.append((weight, len(table) - 1))
+            continue
+        endpoint = _typed(entry["endpoint"], str, f"{loc}/endpoint")
+        if not endpoint:
+            raise FpdConfigError(loc, "endpoint must be non-empty")
+        min_calls = _typed(entry.get("min_calls", 1), int, f"{loc}/min_calls")
+        if min_calls < 1:
+            raise FpdConfigError(loc, f"min_calls must be >= 1, got {min_calls}")
+        children.append((weight, endpoint, min_calls))
+    table.append((name, threshold, tuple(children)))
 
 
 def load_fpd_config(source: str | Path | dict) -> FpdConfig:
     """Parse and validate a detector configuration document."""
-    if isinstance(source, Path):
-        doc = json.loads(source.read_text())
-    elif isinstance(source, str):
-        doc = json.loads(source)
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise FpdConfigError("/", "config must be an object")
-    unknown = set(doc) - _TOP_FIELDS
-    if unknown:
-        raise FpdConfigError("/", f"unknown field {sorted(unknown)[0]!r}")
-    if doc.get("version") != CONFIG_SCHEMA_VERSION:
-        raise FpdConfigError("/version", f"unsupported version {doc.get('version')!r}")
-    if "root" not in doc:
-        raise FpdConfigError("/", "missing field 'root'")
-    severity = dict(DEFAULT_SEVERITY_FRACTIONS)
-    if "severity" in doc:
-        if not isinstance(doc["severity"], dict):
-            raise FpdConfigError("/severity", "severity must be an object")
-        unknown = set(doc["severity"]) - _SEVERITY_FIELDS
-        if unknown:
-            raise FpdConfigError("/severity", f"unknown field {sorted(unknown)[0]!r}")
-        severity.update({k: _number(v, f"/severity/{k}") for k, v in doc["severity"].items()})
-    cfg = FpdConfig(_parse_group(doc["root"], "/root"), severity)
-    return validate_config(cfg)
+    try:
+        doc = _read(source)
+        if not isinstance(doc, dict):
+            raise FpdConfigError("/", "config must be an object")
+        if type(doc.get("version")) is not int or doc["version"] != CONFIG_SCHEMA_VERSION:
+            raise FpdConfigError("/version", f"unsupported version {doc.get('version')!r}")
+        _fields(doc, _TOP_FIELDS, ("root",), "/")
+        severity = dict(DEFAULT_SEVERITY_FRACTIONS)
+        if "severity" in doc:
+            if not isinstance(doc["severity"], dict):
+                raise FpdConfigError("/severity", "severity must be an object")
+            _fields(doc["severity"], _SEVERITY_FIELDS, (), "/severity")
+            severity.update({k: _number(v, f"/severity/{k}") for k, v in doc["severity"].items()})
+        if not 0 < severity["yellow"] <= severity["orange"] <= severity["red"]:
+            raise FpdConfigError("/severity", "fractions must be positive and ordered")
+        table: list = []
+        _parse_group(doc["root"], "/root", table, set(), frozenset())
+    except json.JSONDecodeError as exc:
+        raise FpdConfigError("/", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FpdConfigError("/", "config is nested too deeply") from None
+    endpoints = frozenset(c[1] for _n, _t, children in table for c in children if len(c) == 3)
+    if not endpoints:
+        raise FpdConfigError("/root", "config defines no endpoint leaves")
+    return FpdConfig(tuple(table), endpoints, severity)
 
 
 def default_config() -> FpdConfig:
@@ -268,32 +232,30 @@ def default_config() -> FpdConfig:
     return load_fpd_config(text)
 
 
-def _group_sum(group: Group, counters: Counter, fired: list) -> float:
-    total = 0.0
-    for weight, child in group.children:
-        if isinstance(child, EndpointRule):
-            if counters.get(child.endpoint, 0) >= child.min_calls:
-                total += weight
-        else:
-            inner = _group_sum(child, counters, fired)
-            if inner >= child.threshold:
-                fired.append(child.name)
-                total += weight * inner
-    return total
-
-
 def evaluate(state: FpdState, cfg: FpdConfig) -> FpdVerdict:
-    """Score the trace against the group tree.
+    """Score the trace against the group table.
 
     Pure and idempotent; endpoints absent from the config contribute
     nothing here and surface in the report as unclassified.
     """
-    fired: list = []
-    score = _group_sum(cfg.root, state.counters, fired)
-    threshold = cfg.root.threshold
+    counters = state.counters
+    sums, fired = [], []
+    for name, threshold, children in cfg.groups:
+        total = 0.0
+        for child in children:
+            if len(child) == 3:
+                weight, endpoint, min_calls = child
+                if counters.get(endpoint, 0) >= min_calls:
+                    total += weight
+            else:
+                weight, i = child
+                if sums[i] >= cfg.groups[i][1]:
+                    total += weight * sums[i]
+        sums.append(total)
+        if total >= threshold:
+            fired.append(name)
+    score, threshold = sums[-1], cfg.groups[-1][1]  # the root comes last
     detected = score >= threshold
-    if detected:
-        fired.append(cfg.root.name)
     fr = cfg.severity_fractions
     if score >= fr["red"] * threshold:
         severity = Severity.RED
@@ -303,9 +265,7 @@ def evaluate(state: FpdState, cfg: FpdConfig) -> FpdVerdict:
         severity = Severity.YELLOW
     else:
         severity = Severity.GREEN
-    return FpdVerdict(
-        score=score, detected=detected, severity=severity, fired_groups=tuple(fired)
-    )
+    return FpdVerdict(score, detected, severity, tuple(fired))
 
 
 @dataclass(frozen=True)
@@ -364,26 +324,16 @@ class Report:
 def render_report(state: FpdState, cfg: FpdConfig, verdict: FpdVerdict) -> Report:
     """Summarize what the page called, grouped by technique."""
     fired = set(verdict.fired_groups)
+    counters = state.counters
     groups = []
-
-    def walk(group: Group):
-        observed = {}
-        for _w, child in group.children:
-            if isinstance(child, EndpointRule):
-                count = state.counters.get(child.endpoint, 0)
-                if count:
-                    observed[child.endpoint] = count
-            else:
-                walk(child)
+    for name, _threshold, children in cfg.groups:
+        observed = {c[1]: n for c in children if len(c) == 3 and (n := counters.get(c[1], 0))}
         if observed:
-            groups.append(GroupReport(group.name, group.name in fired, observed))
-
-    walk(cfg.root)
-    known = cfg.endpoints()
+            groups.append(GroupReport(name, name in fired, observed))
     unclassified = {
         endpoint: count
-        for endpoint, count in sorted(state.counters.items())
-        if endpoint not in known and count
+        for endpoint, count in sorted(counters.items())
+        if endpoint not in cfg.endpoints and count
     }
     return Report(
         page=state.page,
@@ -410,29 +360,41 @@ def block_directives(verdict: FpdVerdict, mode: FpdMode | str) -> list:
     return []
 
 
+def _event(entry) -> ApiCallEvent:
+    if not isinstance(entry, dict):
+        raise ValueError("event must be an object")
+    t_ms, endpoint, count = entry["t_ms"], entry["endpoint"], entry.get("count", 1)
+    # exact type tests first: a trace holds thousands of well-typed events
+    if type(t_ms) is not float or not math.isfinite(t_ms):
+        t_ms = _number(t_ms, "t_ms")
+    if type(endpoint) is not str or type(count) is not int:
+        _typed(endpoint, str, "endpoint")
+        _typed(count, int, "count")
+    return ApiCallEvent(t_ms, endpoint, count)
+
+
 def load_trace(source: str | Path | dict) -> tuple[str, list]:
-    """Parse a trace document: {"page": url, "events": [...]}. """
-    if isinstance(source, Path):
-        doc = json.loads(source.read_text())
-    elif isinstance(source, str):
-        doc = json.loads(source)
-    else:
-        doc = source
+    """Parse a trace document: {"page": url, "events": [...]}.
+
+    ``page`` is an optional string.  An event needs a finite number
+    ``t_ms``, a non-empty string ``endpoint`` and an integer ``count`` >= 1
+    (default 1); a bool is neither.
+    """
+    try:
+        doc = _read(source)
+    except RecursionError:
+        raise ValueError("trace is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("events"), list):
         raise ValueError("trace must be an object with an 'events' array")
+    if not isinstance(doc.get("page", ""), str):
+        raise ValueError("trace 'page' must be a string")
     events = []
     for i, entry in enumerate(doc["events"]):
         try:
-            events.append(
-                ApiCallEvent(
-                    t_ms=float(entry["t_ms"]),
-                    endpoint=str(entry["endpoint"]),
-                    count=int(entry.get("count", 1)),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            events.append(_event(entry))
+        except (KeyError, ValueError, RecursionError) as exc:
             raise ValueError(f"invalid trace event at index {i}: {exc}") from exc
-    return str(doc.get("page", "")), events
+    return doc.get("page", ""), events
 
 
 def analyze_trace(

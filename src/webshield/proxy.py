@@ -297,6 +297,8 @@ class BoundaryProxy(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, config: ProxyConfig):
+        if ":" in config.listen_host:  # an IPv6 literal, without brackets
+            self.address_family = socket.AF_INET6
         super().__init__((config.listen_host, config.listen_port), _ProxyHandler)
         self.config = config
         self.cache = LearnCache()

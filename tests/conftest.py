@@ -68,3 +68,14 @@ def mixed_resolver(monkeypatch):
 
     monkeypatch.setattr(socket, "getaddrinfo", fake)
     return MIXED_HOST
+
+
+@pytest.fixture
+def ipv6_loopback():
+    """``::1``, or a skip where this host cannot bind it."""
+    try:
+        with socket.socket(socket.AF_INET6) as sock:
+            sock.bind(("::1", 0))
+    except OSError as exc:
+        pytest.skip(f"cannot bind ::1: {exc}")
+    return "::1"

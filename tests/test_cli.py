@@ -530,6 +530,40 @@ class TestFpdCli:
             args += ["--config", str(tmp_path / "c.json")]
         assert_clean_exit(runner.invoke(main, args), 1, message)
 
+    @pytest.mark.parametrize("config_text, trace_text, message", [
+        ('{"version": 1, "root": ' + "".join(
+            '{"name": "g%d", "threshold": 0, "children": [{"weight": 1, "group": ' % i
+            for i in range(2000)) + '{"name": "x", "threshold": 0, "children": []}'
+         + "}]}" * 2000 + "}", None, "/: config is nested too deeply"),
+        ('{"version": 1, "root": {"name": null, "threshold": 1, "children": '
+         '[{"weight": 1, "endpoint": "X"}]}}', None, "/root/name: expected a string, got null"),
+        ('{"version": 1, "root": {"name": "r", "threshold": 1, "children": '
+         '[{"weight": 1, "endpoint": 5}]}}', None,
+         "/root/children/0/endpoint: expected a string, got 5"),
+        ("{", None, "/: invalid JSON"),
+        (None, '{"events": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "trace is nested too deeply"),
+        (None, '{"events": [{"t_ms": NaN, "endpoint": "A", "count": true}]}',
+         "invalid trace event at index 0: t_ms: expected a finite number, got NaN"),
+        (None, '{"events": [{"t_ms": 1, "endpoint": "A", "count": true}]}',
+         "invalid trace event at index 0: count: expected an integer, got true"),
+        (None, '{"events": [{"t_ms": 1, "endpoint": null}]}',
+         "invalid trace event at index 0: endpoint: expected a string, got null"),
+    ], ids=["config-deep", "name-null", "endpoint-int", "config-not-json", "trace-deep",
+            "t_ms-nan", "count-bool", "endpoint-null"])
+    def test_malformed_documents_are_domain_errors(
+        self, runner, tmp_path, config_text, trace_text, message
+    ):
+        trace = tmp_path / "t.json"
+        trace.write_text(trace_text or '{"page": "p", "events": []}')
+        args = ["fpd", "analyze", "--trace", str(trace)]
+        if config_text:
+            (tmp_path / "c.json").write_text(config_text)
+            args += ["--config", str(tmp_path / "c.json")]
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 1, message)
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_invalid_config_is_domain_error(self, runner, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"version": 1, "root": {
@@ -768,6 +802,30 @@ class TestNbsCli:
     def test_proxy_listen_port_out_of_range_is_usage_error(self, runner, listen):
         result = runner.invoke(main, ["nbs", "proxy", "--listen", listen])
         assert_clean_exit(result, 2, f"invalid listen address: {listen!r}")
+
+    def test_proxy_listens_on_bracketed_ipv6(self, ipv6_loopback):
+        import http.client
+        import signal
+        import subprocess
+        import sys
+
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "webshield", "nbs", "proxy",
+             "--listen", f"[{ipv6_loopback}]:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            assert banner.startswith(f"listening on [{ipv6_loopback}]:"), banner
+            port = int(banner.split()[2].rsplit(":", 1)[1])
+            conn = http.client.HTTPConnection(ipv6_loopback, port, timeout=10)
+            conn.request("GET", "http://127.0.0.1:9/probe")
+            assert conn.getresponse().status == 403
+            conn.close()
+        finally:
+            process.send_signal(signal.SIGTERM)
+            process.communicate(timeout=10)
+        assert process.returncode == 0
 
     @pytest.mark.parametrize(
         "target",

@@ -8,19 +8,20 @@ the score.
 """
 
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from webshield.fpd import (
     ApiCallEvent,
     BlockDirective,
-    EndpointRule,
     FpdConfig,
     FpdConfigError,
     FpdMode,
     FpdState,
-    Group,
     Severity,
     block_directives,
     default_config,
@@ -29,7 +30,6 @@ from webshield.fpd import (
     load_fpd_config,
     load_trace,
     render_report,
-    validate_config,
 )
 
 # The synthetic canvas-fingerprint trace: text rendering plus readout,
@@ -104,9 +104,10 @@ class TestIngest:
 
 class TestConfigValidation:
     def test_default_config_loads(self, cfg):
-        assert cfg.root.name == "fingerprinting"
-        assert cfg.root.threshold == 15.0
-        assert len(cfg.endpoints()) == 45
+        name, threshold, _children = cfg.groups[-1]
+        assert name == "fingerprinting"
+        assert threshold == 15.0
+        assert len(cfg.endpoints) == 45
 
     def test_negative_weight_rejected(self):
         doc = {
@@ -121,10 +122,13 @@ class TestConfigValidation:
             load_fpd_config(doc)
 
     def test_cycle_rejected(self):
-        inner = Group("inner", 1.0, [])
-        inner.children.append((1.0, inner))
-        with pytest.raises(FpdConfigError, match="cycle"):
-            validate_config(FpdConfig(Group("root", 1.0, [(1.0, inner)])))
+        inner = {"name": "inner", "threshold": 1.0, "children": []}
+        inner["children"].append({"weight": 1.0, "group": inner})
+        doc = {"version": 1, "root": {"name": "root", "threshold": 1.0, "children": [
+            {"weight": 1.0, "group": inner}]}}
+        with pytest.raises(FpdConfigError, match="cycle") as excinfo:
+            load_fpd_config(doc)
+        assert excinfo.value.location == "/root/children/0/group/children/0/group"
 
     def test_unknown_field_rejected_with_location(self):
         doc = {
@@ -203,12 +207,70 @@ class TestConfigValidation:
             load_fpd_config(doc)
         assert excinfo.value.location == "/root/children/0/group/threshold"
 
+    @pytest.mark.parametrize("group, leaf, location, message", [
+        ({"name": None}, {}, "/root/name", "expected a string, got null"),
+        ({"name": 5}, {}, "/root/name", "expected a string, got 5"),
+        ({"name": ""}, {}, "/root", "group name must be non-empty"),
+        ({}, {"endpoint": 5}, "/root/children/0/endpoint", "expected a string, got 5"),
+        ({}, {"endpoint": None}, "/root/children/0/endpoint", "expected a string, got null"),
+        ({}, {"endpoint": ""}, "/root/children/0", "endpoint must be non-empty"),
+    ], ids=["name-null", "name-int", "name-empty", "endpoint-int", "endpoint-null",
+            "endpoint-empty"])
+    def test_name_and_endpoint_must_be_nonempty_strings(self, group, leaf, location, message):
+        doc = {"version": 1, "root": {"name": "r", "threshold": 1.0, "children": [
+            {"weight": 1.0, "endpoint": "X", **leaf}], **group}}
+        with pytest.raises(FpdConfigError) as excinfo:
+            load_fpd_config(doc)
+        assert (excinfo.value.location, str(excinfo.value)) == (
+            location, f"{location}: {message}")
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_the_integer_1(self, version):
+        doc = {"version": version, "root": {"name": "r", "threshold": 1, "children": [
+            {"weight": 1, "endpoint": "X"}]}}
+        with pytest.raises(FpdConfigError) as excinfo:
+            load_fpd_config(doc)
+        assert str(excinfo.value) == f"/version: unsupported version {version!r}"
+
+    def test_deep_text_rejected_at_the_top(self):
+        # too deep for the decoder or, where it copes, for the walk
+        leaf = '{"name": "g", "threshold": 0, "children": [{"weight": 1, "endpoint": "X"}]}'
+        wrap = '{"name": "g%d", "threshold": 0, "children": [{"weight": 1, "group": '
+        text = ('{"version": 1, "root": ' + "".join(wrap % i for i in range(2000)) + leaf
+                + "}]}" * 2000 + "}")
+        with pytest.raises(FpdConfigError) as excinfo:
+            load_fpd_config(text)
+        assert str(excinfo.value) == "/: config is nested too deeply"
+
+    def test_deep_dict_rejected_at_the_top(self):
+        group = {"name": "g", "threshold": 0, "children": [{"weight": 1, "endpoint": "X"}]}
+        for i in range(5000):
+            group = {"name": f"g{i}", "threshold": 0, "children": [{"weight": 1, "group": group}]}
+        with pytest.raises(FpdConfigError) as excinfo:
+            load_fpd_config({"version": 1, "root": group})
+        assert str(excinfo.value) == "/: config is nested too deeply"
+
+    def test_groups_are_in_post_order(self):
+        cfg = load_fpd_config({"version": 1, "root": {"name": "r", "threshold": 1, "children": [
+            {"weight": 1, "group": {"name": "a", "threshold": 1, "children": [
+                {"weight": 1, "group": {"name": "a1", "threshold": 1, "children": []}},
+                {"weight": 2, "endpoint": "X"}]}},
+            {"weight": 3, "group": {"name": "b", "threshold": 1, "children": []}},
+            {"weight": 4, "endpoint": "Y", "min_calls": 2}]}})
+        assert cfg.groups == (
+            ("a1", 1.0, ()),
+            ("a", 1.0, ((1.0, 0), (2.0, "X", 1))),
+            ("b", 1.0, ()),
+            ("r", 1.0, ((1.0, 1), (3.0, 2), (4.0, "Y", 2))),
+        )
+        assert cfg.endpoints == frozenset({"X", "Y"})
+
     def test_integral_numbers_still_load(self):
         doc = {"version": 1, "severity": {"yellow": 1, "orange": 1, "red": 2},
                "root": {"name": "r", "threshold": 3, "children": [
                    {"weight": 2, "endpoint": "X", "min_calls": 4}]}}
         cfg = load_fpd_config(doc)
-        assert cfg.root == Group("r", 3.0, [(2.0, EndpointRule("X", 4))])
+        assert cfg.groups == (("r", 3.0, ((2.0, "X", 4),)),)
         assert cfg.severity_fractions == {"yellow": 1.0, "orange": 1.0, "red": 2.0}
 
 
@@ -414,3 +476,174 @@ class TestTraceFormat:
                 '{"t_ms": 2, "endpoint": "B", "count": 1e400}]}')
         with pytest.raises(ValueError, match="index 1"):
             load_trace(text)
+
+    @pytest.mark.parametrize("event, message", [
+        ({"t_ms": float("nan")}, "t_ms: expected a finite number, got NaN"),
+        ({"t_ms": "5"}, 't_ms: expected a finite number, got "5"'),
+        ({"t_ms": True}, "t_ms: expected a finite number, got true"),
+        ({"endpoint": 5}, "endpoint: expected a string, got 5"),
+        ({"endpoint": None}, "endpoint: expected a string, got null"),
+        ({"endpoint": ""}, "endpoint must be non-empty"),
+        ({"count": True}, "count: expected an integer, got true"),
+        ({"count": 2.7}, "count: expected an integer, got 2.7"),
+        ({"count": 0}, "count must be >= 1, got 0"),
+    ], ids=["t_ms-nan", "t_ms-string", "t_ms-bool", "endpoint-int", "endpoint-null",
+            "endpoint-empty", "count-bool", "count-float", "count-zero"])
+    def test_ill_typed_event_rejected_with_index(self, event, message):
+        doc = {"events": [{"t_ms": 1, "endpoint": "A"},
+                          {"t_ms": 2.0, "endpoint": "B", "count": 3, **event}]}
+        with pytest.raises(ValueError) as excinfo:
+            load_trace(doc)
+        assert str(excinfo.value) == f"invalid trace event at index 1: {message}"
+
+    def test_event_must_be_an_object(self):
+        with pytest.raises(ValueError, match="index 0: event must be an object"):
+            load_trace({"events": [["A", 1]]})
+
+    @pytest.mark.parametrize("page", [None, 5, ["p"]])
+    def test_page_must_be_a_string(self, page):
+        with pytest.raises(ValueError, match="'page' must be a string"):
+            load_trace({"page": page, "events": []})
+
+    def test_deep_text_rejected(self):
+        with pytest.raises(ValueError, match="trace is nested too deeply"):
+            load_trace('{"events": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+# Hostile-document properties: a loader either returns what the document
+# says, checked field by field, or raises its documented error.  Documents
+# are well formed but for up to two faults: a value replaced by any
+# JSON-like value, a field deleted or a stray field added.
+CONFIG_KEYS = ["version", "severity", "root", "name", "threshold", "children", "weight",
+               "endpoint", "min_calls", "group", "yellow", "orange", "red"]
+TRACE_KEYS = ["page", "events", "t_ms", "endpoint", "count"]
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+           | st.sampled_from(["", "X", "1"]))
+
+
+def _hostile(keys):
+    return st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=2)
+                        | st.dictionaries(st.sampled_from(keys), inner, max_size=2),
+                        max_leaves=4)
+
+
+@st.composite
+def _with_faults(draw, docs, keys):
+    doc = draw(docs)
+    slots = []  # (container, key) of every value in the document
+
+    def collect(node):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                collect(value)
+
+    collect(doc)
+    for _ in range(draw(st.integers(0, 2))):
+        node, key = draw(st.sampled_from(slots))
+        fault = draw(st.sampled_from(["replace", "delete", "add"]))
+        if fault == "delete" and isinstance(node, dict):
+            node.pop(key, None)
+        elif fault == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(keys))] = draw(_hostile(keys))
+        elif isinstance(node, dict) or key < len(node):
+            node[key] = draw(_hostile(keys))
+    return doc
+
+
+_LEAF = st.fixed_dictionaries(
+    {"weight": st.integers(1, 9) | st.floats(0.5, 9), "endpoint": st.sampled_from("ABC")},
+    optional={"min_calls": st.integers(1, 3)})
+_CHILD = st.recursive(_LEAF, lambda inner: st.fixed_dictionaries({
+    "weight": st.integers(1, 3) | st.floats(0.5, 3),
+    "group": st.fixed_dictionaries({
+        "name": st.text("abcdef", min_size=1, max_size=4),
+        "threshold": st.integers(0, 9) | st.floats(0, 9),
+        "children": st.lists(inner, max_size=3)}),
+}), max_leaves=6)
+CONFIG_DOCS = _with_faults(st.fixed_dictionaries(
+    {"version": st.just(1), "root": st.fixed_dictionaries({
+        "name": st.just("root"), "threshold": st.integers(0, 20),
+        "children": st.lists(_CHILD, min_size=1, max_size=3)})},
+    optional={"severity": st.lists(st.floats(0.1, 2), min_size=3, max_size=3).map(
+        lambda fr: dict(zip(("yellow", "orange", "red"), sorted(fr))))},
+), CONFIG_KEYS)
+TRACE_DOCS = _with_faults(st.fixed_dictionaries(
+    {"events": st.lists(st.fixed_dictionaries(
+        {"t_ms": st.integers(0, 9) | st.floats(0, 9), "endpoint": st.sampled_from("ABC")},
+        optional={"count": st.integers(1, 3)}), max_size=4)},
+    optional={"page": st.sampled_from(["", "p"])}), TRACE_KEYS)
+
+
+def _finite(value):
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _expected_table(doc):
+    """The flat table a well-typed config document loads into."""
+    table = []
+
+    def walk(group):
+        assert type(group["name"]) is str and group["name"]
+        assert _finite(group["threshold"]) and group["threshold"] >= 0
+        children = []
+        for child in group["children"]:
+            assert _finite(child["weight"]) and child["weight"] > 0
+            if "group" in child:
+                walk(child["group"])
+                children.append((child["weight"], len(table) - 1))
+            else:
+                assert type(child["endpoint"]) is str and child["endpoint"]
+                assert type(child.get("min_calls", 1)) is int and child.get("min_calls", 1) >= 1
+                children.append((child["weight"], child["endpoint"], child.get("min_calls", 1)))
+        table.append((group["name"], group["threshold"], tuple(children)))
+
+    walk(doc["root"])
+    return tuple(table)
+
+
+class TestLoaderProperties:
+    @given(CONFIG_DOCS)
+    @example({"version": 1, "root": {"name": None, "threshold": 1, "children": [
+        {"weight": 1, "endpoint": "X"}]}})
+    @example({"version": 1, "root": {"name": "r", "threshold": 1, "children": [
+        {"weight": 1, "endpoint": 5}]}})
+    @example({"version": True, "root": {"name": "r", "threshold": 1, "children": [
+        {"weight": 1, "endpoint": "X"}]}})
+    @settings(max_examples=100, deadline=None)
+    def test_config_loads_faithfully_or_raises_config_error(self, doc):
+        try:
+            cfg = load_fpd_config(doc)
+        except FpdConfigError as exc:
+            assert exc.location.startswith("/")
+            return
+        assert isinstance(cfg, FpdConfig)
+        assert type(doc["version"]) is int
+        assert cfg.groups == _expected_table(doc)
+        for name, threshold, children in cfg.groups:
+            assert type(threshold) is float
+            assert all(type(child[0]) is float for child in children)
+        assert cfg.endpoints == {c[1] for g in cfg.groups for c in g[2] if len(c) == 3}
+        assert all(type(f) is float and math.isfinite(f)
+                   for f in cfg.severity_fractions.values())
+        state = FpdState(counters={endpoint: 1 for endpoint in cfg.endpoints})
+        evaluate(state, cfg)
+
+    @given(TRACE_DOCS)
+    @example({"events": [{"t_ms": float("nan"), "endpoint": "A", "count": True}]})
+    @example({"events": [{"t_ms": "5", "endpoint": 5, "count": 2.7}]})
+    @example({"events": [{"t_ms": 1, "endpoint": None}]})
+    @example({"events": [], "page": None})
+    @settings(max_examples=100, deadline=None)
+    def test_trace_loads_faithfully_or_raises_value_error(self, doc):
+        try:
+            page, events = load_trace(doc)
+        except ValueError:
+            return
+        assert page == doc.get("page", "")
+        assert len(events) == len(doc["events"])
+        for event, raw in zip(events, doc["events"]):
+            assert _finite(raw["t_ms"]) and type(event.t_ms) is float
+            assert type(raw["endpoint"]) is str and raw["endpoint"]
+            assert type(raw.get("count", 1)) is int and raw.get("count", 1) >= 1
+            assert event == ApiCallEvent(raw["t_ms"], raw["endpoint"], raw.get("count", 1))

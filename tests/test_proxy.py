@@ -452,3 +452,14 @@ def test_unopenable_log_closes_the_bound_socket(tmp_path):
     (tmp_path / "file").write_text("")
     with pytest.raises(OSError):  # a leaked socket would raise ResourceWarning
         run_proxy(ProxyConfig(log_path=tmp_path / "file" / "decisions.jsonl"))
+
+
+def test_listens_on_ipv6_loopback(stub, ipv6_loopback):
+    proxy = run_proxy(ProxyConfig(listen_host=ipv6_loopback))
+    try:
+        assert proxy.address[0] == ipv6_loopback
+        status, _, _ = proxy_request(proxy.address, f"http://127.0.0.1:{stub.port}/probe")
+        assert status == 403
+        assert stub.connections == 0
+    finally:
+        proxy.stop()
