@@ -397,18 +397,18 @@ def nbs_proxy(listen, mode, origin_class, log_path):
         service = run_proxy(config)
     except OSError as exc:
         raise _DomainError(f"cannot start the proxy on {listen!r}: {exc}")
+    import signal
+    import threading
+
+    # handlers go in before the banner: a caller may signal once it reads it
+    stopping = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stopping.set())
     bound_host, bound_port = service.address
     if ":" in bound_host:
         bound_host = f"[{bound_host}]"
     click.echo(f"listening on {bound_host}:{bound_port} mode={mode}")
     sys.stdout.flush()
-
-    import signal
-    import threading
-
-    stopping = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stopping.set())
     try:
         stopping.wait()
     finally:

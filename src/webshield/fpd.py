@@ -132,6 +132,14 @@ def _fields(doc: dict, allowed: set, required: tuple, location: str) -> None:
             raise FpdConfigError(location, f"missing field {req!r}")
 
 
+def _describe(value) -> str:
+    """``value`` as JSON, or its repr when it is no JSON value (a dict built in code)."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):  # a non-JSON type, or a container holding itself
+        return repr(value)
+
+
 def _number(value, location: str) -> float:
     """A finite JSON number (a bool is not one) as a float."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -140,7 +148,7 @@ def _number(value, location: str) -> float:
                 return float(value)
         except OverflowError:  # an int too large for a float
             pass
-    raise FpdConfigError(location, f"expected a finite number, got {json.dumps(value)}")
+    raise FpdConfigError(location, f"expected a finite number, got {_describe(value)}")
 
 
 def _typed(value, kind: type, location: str):
@@ -148,7 +156,7 @@ def _typed(value, kind: type, location: str):
     if isinstance(value, kind) and not isinstance(value, bool):
         return value
     expected = "a string" if kind is str else "an integer"
-    raise FpdConfigError(location, f"expected {expected}, got {json.dumps(value)}")
+    raise FpdConfigError(location, f"expected {expected}, got {_describe(value)}")
 
 
 def _parse_group(doc, location: str, table: list, names: set, path: frozenset) -> None:

@@ -161,14 +161,20 @@ def observe_reply(cache: LearnCache, hostname: str, ip) -> LearnCache:
 def split_authority(authority: str, default_port: int) -> tuple[str, int]:
     """(host, port) of a ``host[:port]`` or ``[v6][:port]`` authority.
 
-    ValueError unless the port is 1-65535; a bare IPv6 literal is
-    rejected too, as its colons cannot be told from a port separator.
+    ValueError unless the host is non-empty and the port is 1-65535, and
+    for a bracket left open or followed by anything but ``:port``; a bare
+    IPv6 literal is rejected too, as its colons cannot be told from a port
+    separator.
     """
     if authority.startswith("["):  # bracketed IPv6
-        host, _, rest = authority[1:].partition("]")
-        port_text = rest[1:] if rest.startswith(":") else rest
+        host, bracket, rest = authority[1:].partition("]")
+        if not bracket or rest[:1] not in ("", ":"):
+            raise ValueError(f"malformed IPv6 authority in request target {authority!r}")
+        port_text = rest[1:]
     else:
         host, _, port_text = authority.partition(":")
+    if not host:
+        raise ValueError(f"empty host in request target {authority!r}")
     if not port_text:
         return host, default_port
     if not (port_text.isascii() and port_text.isdigit() and 0 < int(port_text) < 65536):

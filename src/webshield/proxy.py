@@ -3,9 +3,10 @@
 Each request (plain HTTP or CONNECT tunnel) is decided before any
 upstream traffic: in pre-resolve mode the target is resolved first and a
 crossing request is answered 403 without a single byte reaching the
-target; in learn-on-reply mode unknown hostnames pass once, their peer
-address is recorded from the reply socket, and subsequent requests are
-blocked from the cache.
+target; in learn-on-reply mode unknown hostnames pass once, and the peer
+of every connection is classified before a request byte is sent, so a
+known hostname whose peer crosses is blocked.  Replies are relayed as
+sent, byte for byte, until the target closes.
 
 Decisions stream to a JSONL log.  Repeated blocks of the same target
 within a short window coalesce into one line carrying a count, so a
@@ -14,8 +15,8 @@ page hammering a blocked host does not flood the log.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
 import select
 import socket
 import threading
@@ -24,14 +25,16 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .nbs import (
     AddressClass,
     Decision,
     LearnCache,
     NbsMode,
+    classify_address,
+    decide,
     gate,
-    observe_reply,
     split_authority,
 )
 
@@ -51,6 +54,7 @@ _HOP_BY_HOP = {
     "proxy-authorization",
     "proxy-authenticate",
 }
+_CONTROL_OR_SPACE = re.compile("[\x00-\x20\x7f]")
 
 
 @dataclass
@@ -143,49 +147,54 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     def _bad_gateway(self, message: str) -> None:
         self._reply(502, message, {"Content-Type": "text/plain"})
 
-    def _gate(self, host: str, port: int):
-        """Run the boundary gate for a target and log its decision.
+    def _open_upstream(self, host: str, port: int) -> socket.socket | None:
+        """Gate, log and connect: the only way the proxy reaches a target.
 
-        Returns (connect_address_or_None, learned_hostname_or_None);
-        None address means the response has already been sent.
+        Returns the socket, or None once a reply has been sent.  In learn
+        mode the peer is classified before any request byte is sent.
         """
-        server = self.server
+        server, config = self.server, self.server.config
         try:
-            decision, address = gate(
-                server.config.mode, server.config.origin_class, host, port, server.cache
-            )
+            decision, address = gate(config.mode, config.origin_class, host, port, server.cache)
         except OSError as exc:
             self._bad_gateway(f"resolver failure for {host!r}: {exc}")
-            return None, None
+            return None
         cls = decision.target.value if decision.target else "unknown"
         if address is None:
             self._deny(host, cls, decision.reason)
-            return None, None
+            return None
         server.log.log(host, cls, decision.value.value, decision.reason)
-        learned = host if decision.value is Decision.ALLOW_AND_LEARN else None
-        return address, learned
-
-    def _learn_peer(self, sock: socket.socket, hostname: str | None) -> None:
-        if hostname is None:
-            return
+        upstream = None
         try:
-            peer = sock.getpeername()[0]
-        except OSError:
-            return
-        observe_reply(self.server.cache, hostname, peer)
+            upstream = socket.create_connection(address, timeout=UPSTREAM_TIMEOUT_S)
+            learning = config.mode is NbsMode.LEARN_ON_REPLY
+            peer = classify_address(upstream.getpeername()[0]) if learning else decision.target
+        except OSError as exc:
+            if upstream is not None:
+                upstream.close()
+            self._bad_gateway(f"upstream connection failed: {exc}")
+            return None
+        if peer is not decision.target:  # a first contact, or a known host that rebound
+            server.cache.learn(host, peer)
+            if decision.target is not None:
+                decision = decide(config.mode, config.origin_class, host, None, server.cache)
+                if decision.value is Decision.BLOCK:
+                    upstream.close()
+                    self._deny(host, peer.value, decision.reason)
+                    return None
+        return upstream
 
     # ------------------------------------------------------------------
     # plain HTTP forwarding
 
     def _handle_http(self):
-        from urllib.parse import urlsplit
-
-        if not self.path.startswith(("http://", "https://")):
-            self._reply(400, "proxy requires absolute-form request targets")
-            return
-        parts = urlsplit(self.path)
         length_text = (self.headers.get("Content-Length") or "").strip() or "0"
         try:
+            if not self.path.startswith(("http://", "https://")):
+                raise ValueError("proxy requires absolute-form request targets")
+            if _CONTROL_OR_SPACE.search(self.path):
+                raise ValueError(f"control character in request target {self.path!r}")
+            parts = urlsplit(self.path)
             host, port = split_authority(parts.netloc, 80)
             if not (length_text.isascii() and length_text.isdigit()):
                 raise ValueError(f"bad Content-Length: {length_text!r}")
@@ -196,48 +205,34 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             self._reply(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
             return
-        connect_addr, learn_host = self._gate(host, port)
-        if connect_addr is None:
+        query = "?" + parts.query if parts.query else ""
+        lines = [f"{self.command} {parts.path or '/'}{query} HTTP/1.1"]
+        lines += [f"{name}: {value}" for name, value in self.headers.items()
+                  if name.lower() not in _HOP_BY_HOP]
+        if "Host" not in self.headers:
+            lines.append(f"Host: {parts.netloc}")
+        # the head was read as latin-1, so encoding it back restores its bytes
+        head = "\r\n".join(lines + ["Connection: close", "", ""]).encode("latin-1")
+        upstream = self._open_upstream(host, port)
+        if upstream is None:
             return
-
-        origin_path = parts.path or "/"
-        if parts.query:
-            origin_path += "?" + parts.query
-        body = self.rfile.read(length) if length else None
-
-        conn = http.client.HTTPConnection(*connect_addr, timeout=UPSTREAM_TIMEOUT_S)
-        try:
-            conn.connect()
-            self._learn_peer(conn.sock, learn_host)
-            conn.putrequest(self.command, origin_path, skip_host=True, skip_accept_encoding=True)
-            sent_host = False
-            for name, value in self.headers.items():
-                if name.lower() in _HOP_BY_HOP:
-                    continue
-                if name.lower() == "host":
-                    sent_host = True
-                conn.putheader(name, value)
-            if not sent_host:
-                conn.putheader("Host", parts.netloc)
-            conn.putheader("Connection", "close")
-            conn.endheaders(body)
-            response = conn.getresponse()
-            payload = response.read()
-        except OSError as exc:
-            self._bad_gateway(f"upstream connection failed: {exc}")
-            return
-        finally:
-            conn.close()
-
-        self.send_response(response.status, response.reason)
-        for name, value in response.getheaders():
-            if name.lower() in _HOP_BY_HOP or name.lower() == "content-length":
-                continue
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        with upstream:
+            body = self.rfile.read(length)
+            try:
+                upstream.sendall(head + body)
+                data = upstream.recv(65536)
+                if not data:
+                    raise ConnectionError("upstream closed the connection without a reply")
+            except OSError as exc:
+                self._bad_gateway(f"upstream connection failed: {exc}")
+                return
+            self.close_connection = True  # the relayed reply ends when the upstream closes
+            try:
+                while data:
+                    self.wfile.write(data)
+                    data = upstream.recv(65536)
+            except OSError:
+                pass  # part of the reply is out: closing is the only signal left
 
     do_GET = _handle_http
     do_POST = _handle_http
@@ -256,15 +251,9 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._reply(400, str(exc))
             return
-        connect_addr, learn_host = self._gate(host, port)
-        if connect_addr is None:
+        upstream = self._open_upstream(host, port)
+        if upstream is None:
             return
-        try:
-            upstream = socket.create_connection(connect_addr, timeout=UPSTREAM_TIMEOUT_S)
-        except OSError as exc:
-            self._bad_gateway(f"upstream connection failed: {exc}")
-            return
-        self._learn_peer(upstream, learn_host)
         self.send_response(200, "Connection Established")
         self.send_header("Connection", "close")
         self.end_headers()

@@ -798,10 +798,34 @@ class TestNbsCli:
         assert result.exit_code == 1
         assert "bad port" in result.output
 
+    @pytest.mark.parametrize("target,message", [
+        (":80", "empty host"), ("[]:80", "empty host"), ("[::1", "malformed IPv6 authority"),
+    ])
+    def test_check_malformed_authority_is_domain_error(self, runner, target, message):
+        result = runner.invoke(main, ["nbs", "check", "--target", target, "--mode", "learn"])
+        assert result.exit_code == 1
+        assert message in result.output
+
     @pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:65536"])
     def test_proxy_listen_port_out_of_range_is_usage_error(self, runner, listen):
         result = runner.invoke(main, ["nbs", "proxy", "--listen", listen])
         assert_clean_exit(result, 2, f"invalid listen address: {listen!r}")
+
+    def test_proxy_stops_cleanly_on_sigterm_right_after_its_banner(self):
+        import signal
+        import subprocess
+        import sys
+
+        for _ in range(3):  # the race this pins was lost about 8 times in 10
+            process = subprocess.Popen(
+                [sys.executable, "-u", "-m", "webshield", "nbs", "proxy",
+                 "--listen", "127.0.0.1:0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            assert process.stdout.readline().startswith("listening on ")
+            process.send_signal(signal.SIGTERM)
+            process.communicate(timeout=10)
+            assert process.returncode == 0
 
     def test_proxy_listens_on_bracketed_ipv6(self, ipv6_loopback):
         import http.client

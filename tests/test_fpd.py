@@ -610,6 +610,7 @@ class TestLoaderProperties:
         {"weight": 1, "endpoint": 5}]}})
     @example({"version": True, "root": {"name": "r", "threshold": 1, "children": [
         {"weight": 1, "endpoint": "X"}]}})
+    @example({"version": 1, "root": {"name": "r", "threshold": {1}, "children": []}})
     @settings(max_examples=100, deadline=None)
     def test_config_loads_faithfully_or_raises_config_error(self, doc):
         try:
@@ -634,6 +635,7 @@ class TestLoaderProperties:
     @example({"events": [{"t_ms": "5", "endpoint": 5, "count": 2.7}]})
     @example({"events": [{"t_ms": 1, "endpoint": None}]})
     @example({"events": [], "page": None})
+    @example({"events": [{"t_ms": 1.0, "endpoint": b"a"}]})
     @settings(max_examples=100, deadline=None)
     def test_trace_loads_faithfully_or_raises_value_error(self, doc):
         try:

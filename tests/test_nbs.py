@@ -9,7 +9,7 @@ import ipaddress
 import socket
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webshield.nbs import (
@@ -23,6 +23,7 @@ from webshield.nbs import (
     decide,
     gate,
     observe_reply,
+    parse_ip,
     split_authority,
 )
 
@@ -339,6 +340,41 @@ class TestSplitAuthority:
     def test_bad_port_rejected(self, authority):
         with pytest.raises(ValueError):
             split_authority(authority, 80)
+
+
+AUTHORITY_TEXT = st.text(alphabet="[]:.%0123456789abcdefx") | st.text()
+
+
+class TestParserProperties:
+    @given(AUTHORITY_TEXT)
+    @example("")
+    @example("[]:80")
+    @example("[::1")
+    @example("[::1]80")
+    @settings(max_examples=200, deadline=None)
+    def test_split_authority_gives_host_and_port_or_value_error(self, authority):
+        try:
+            host, port = split_authority(authority, 80)
+        except ValueError:
+            return
+        assert host and type(port) is int and 0 < port < 65536
+        # the authority is the host as written, then nothing or ":port"
+        written = f"[{host}]" if authority.startswith("[") else host
+        assert authority.startswith(written)
+        rest = authority[len(written):]
+        assert rest[:1] in ("", ":") and port == int(rest[1:] or 80)
+
+    @given(AUTHORITY_TEXT)
+    @example("")
+    @example("[]:80")
+    @example("[::1")
+    @settings(max_examples=200, deadline=None)
+    def test_parse_ip_gives_address_or_value_error(self, value):
+        try:
+            ip = parse_ip(value)
+        except ValueError:
+            return
+        assert isinstance(ip, (ipaddress.IPv4Address, ipaddress.IPv6Address))
 
 
 class TestGate:

@@ -31,14 +31,21 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-class CountingStub:
-    """Minimal HTTP server on loopback that counts accepted connections."""
+STUB_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 7\r\nConnection: close\r\n\r\nstub-ok"
 
-    def __init__(self):
-        self.sock = socket.socket()
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.sock.bind(("127.0.0.1", 0))
-        self.sock.listen(8)
+
+class CountingStub:
+    """Minimal HTTP server on loopback that counts accepted connections.
+
+    On each connection it records the request head it reads, then sends
+    ``parts`` and closes, waiting for ``release`` between parts.
+    """
+
+    def __init__(self, *parts: bytes):
+        self.parts = parts
+        self.received = b""
+        self.release = threading.Event()
+        self.sock = socket.create_server(("127.0.0.1", 0))
         self.port = self.sock.getsockname()[1]
         self.connections = 0
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -51,30 +58,45 @@ class CountingStub:
             except OSError:
                 return
             self.connections += 1
-            try:
-                conn.settimeout(5)
-                conn.recv(65536)
-                body = b"stub-ok"
-                conn.sendall(
-                    b"HTTP/1.1 200 OK\r\nContent-Length: "
-                    + str(len(body)).encode()
-                    + b"\r\nConnection: close\r\n\r\n"
-                    + body
-                )
-            except OSError:
-                pass
-            finally:
-                conn.close()
+            with conn:
+                try:
+                    conn.settimeout(5)
+                    head = b""
+                    while b"\r\n\r\n" not in head and (data := conn.recv(65536)):
+                        head += data
+                    self.received += head
+                    for i, part in enumerate(self.parts):
+                        if i:
+                            self.release.wait(5)
+                        conn.sendall(part)
+                except OSError:
+                    pass
 
     def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
         self.sock.close()
+        self._thread.join(timeout=5)
 
 
 @pytest.fixture
 def stub():
-    server = CountingStub()
+    server = CountingStub(STUB_OK)
     yield server
     server.close()
+
+
+@pytest.fixture
+def scripted():
+    """Start a CountingStub that answers the given parts; closed after the test."""
+    stubs = []
+
+    def start(*parts: bytes) -> CountingStub:
+        stubs.append(CountingStub(*parts))
+        return stubs[-1]
+
+    yield start
+    for server in stubs:
+        server.close()
 
 
 def proxy_request(proxy_addr, url, method="GET"):
@@ -241,6 +263,38 @@ class TestLearnOnReplyMode:
             "localhost", "unknown", "AllowAndLearn"
         )
 
+    @pytest.mark.parametrize("head", [
+        "GET http://rebind.example:{port}/secret HTTP/1.1\r\n\r\n",
+        "CONNECT rebind.example:{port} HTTP/1.1\r\n\r\n",
+    ], ids=["http", "connect"])
+    def test_known_host_that_rebinds_inward_is_denied_before_a_byte(
+        self, scripted, tmp_path, monkeypatch, head
+    ):
+        target = scripted(b"HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nsecret")
+        real = socket.getaddrinfo
+
+        def rebound(host, port, *args, **kwargs):  # learned public, now loopback
+            if host == "rebind.example":
+                return [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", port))]
+            return real(host, port, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", rebound)
+        log = tmp_path / "rebind.jsonl"
+        proxy = run_proxy(ProxyConfig(mode=NbsMode.LEARN_ON_REPLY, log_path=log))
+        try:
+            proxy.cache.learn("rebind.example", AddressClass.PUBLIC)
+            reply = raw_request(proxy.address, head.format(port=target.port))
+            assert reply.startswith(b"HTTP/1.1 403 ")
+            assert b"into loopback target 'rebind.example'" in reply
+            assert proxy.cache.lookup("rebind.example") is AddressClass.LOOPBACK
+        finally:
+            proxy.stop()
+        assert target.received == b""
+        last = json.loads(log.read_text().splitlines()[-1])
+        assert (last["host"], last["class"], last["decision"]) == (
+            "rebind.example", "loopback", "Block"
+        )
+
     def test_literal_ip_blocked_without_learning_phase(self, stub):
         proxy = run_proxy(ProxyConfig(mode=NbsMode.LEARN_ON_REPLY))
         try:
@@ -277,9 +331,15 @@ class TestMalformedRequests:
         ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
         ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n",
          413),
+        ("GET http://127.0.0.1:{port}/a\x01b HTTP/1.1\r\n\r\n", 400),
+        ("GET http://[]:{port}/ HTTP/1.1\r\n\r\n", 400),
+        ("GET http://:{port}/ HTTP/1.1\r\n\r\n", 400),
+        ("CONNECT :{port} HTTP/1.1\r\n\r\n", 400),
+        ("CONNECT [::1 HTTP/1.1\r\n\r\n", 400),
     ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
             "connect-port-abc", "connect-port-99999", "connect-bare-v6", "length-zz",
-            "length-negative", "length-huge"])
+            "length-negative", "length-huge", "path-control-char", "empty-v6-host",
+            "empty-host", "connect-empty-host", "connect-unclosed-bracket"])
     def test_bad_request_answered_4xx_and_proxy_keeps_serving(
         self, stub, tmp_path, head, expected
     ):
@@ -330,6 +390,84 @@ class TestMalformedRequests:
             assert stub.connections == 1
         finally:
             proxy.stop()
+
+
+class TestRelay:
+    """Plain HTTP replies reach the client as the upstream sent them."""
+
+    @staticmethod
+    def _proxy():
+        return run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+
+    @pytest.mark.parametrize("reply", [
+        b"HELLO WORLD\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\nbody",
+        b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: v\r\n" % i for i in range(150))
+        + b"\r\nbody",
+        b"HTTP/1.1 200 OK\r\nX-Upstream: 1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"5\r\nhello\r\n0\r\n\r\n",
+    ], ids=["not-http", "70k-header-line", "150-headers", "chunked"])
+    def test_reply_relayed_verbatim_and_proxy_keeps_serving(self, scripted, stub, reply):
+        target = scripted(reply)
+        proxy = self._proxy()
+        try:
+            got = raw_request(
+                proxy.address, f"GET http://127.0.0.1:{target.port}/ HTTP/1.1\r\n\r\n"
+            )
+            assert got == reply
+            status, _, body = proxy_request(proxy.address, f"http://127.0.0.1:{stub.port}/next")
+            assert (status, body) == (200, b"stub-ok")
+        finally:
+            proxy.stop()
+
+    def test_upstream_closing_without_a_byte_is_bad_gateway(self, scripted):
+        target = scripted()
+        proxy = self._proxy()
+        try:
+            reply = raw_request(
+                proxy.address, f"GET http://127.0.0.1:{target.port}/ HTTP/1.1\r\n\r\n"
+            )
+            assert reply.startswith(b"HTTP/1.1 502 ")
+            assert b"upstream connection failed" in reply
+        finally:
+            proxy.stop()
+
+    def test_reply_streams_before_the_upstream_finishes(self, scripted):
+        head = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nfirst\r\n"
+        target = scripted(head, b"0\r\n\r\n")
+        proxy = self._proxy()
+        try:
+            with socket.create_connection(proxy.address, timeout=2) as sock:
+                sock.sendall(f"GET http://127.0.0.1:{target.port}/ HTTP/1.1\r\n\r\n".encode())
+                got = b""
+                while len(got) < len(head) and (chunk := sock.recv(65536)):
+                    got += chunk  # a proxy that waits for the end times out here
+                assert got == head
+                target.release.set()
+                while chunk := sock.recv(65536):
+                    got += chunk
+            assert got == head + b"0\r\n\r\n"
+        finally:
+            target.release.set()
+            proxy.stop()
+
+    def test_request_head_rewritten_for_the_origin(self, scripted):
+        target = scripted(b"HTTP/1.1 204 No Content\r\n\r\n")
+        proxy = self._proxy()
+        try:
+            raw_request(
+                proxy.address,
+                f"GET http://127.0.0.1:{target.port}/p?q=1#frag HTTP/1.1\r\n"
+                "X-Client: 1\r\nProxy-Connection: keep-alive\r\nConnection: keep-alive\r\n\r\n",
+            )
+        finally:
+            proxy.stop()
+        assert target.received == (
+            f"GET /p?q=1 HTTP/1.1\r\nX-Client: 1\r\nHost: 127.0.0.1:{target.port}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode()
 
 
 class TestDecisionLog:
