@@ -37,7 +37,6 @@ from .fpd import (
 from .keyrand import Origin, SessionKey, derive_seed, new_session_key
 from .nbs import AddressClass, LearnCache, NbsMode, decide, gate, split_authority
 from .profiles import PROFILES, TABLE_SCHEMA_VERSION, protect
-from .proxy import ProxyConfig, run_proxy
 from .sensorsim import SensorKind, init_device_state, sample
 from .timeshield import ShieldConfig, shield_stream
 
@@ -252,18 +251,23 @@ def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
             click.echo("t_ms,value")
         else:
             click.echo("t_ms,x,y,z")
-    for i in range(n):
-        t_ms = i * 1000.0 / rate
-        reading = _domain(sample, state, kind, t_ms, shield_cfg)
-        value = reading.value
-        if fmt == "jsonl":
-            payload = list(value) if isinstance(value, tuple) else value
-            click.echo(json.dumps(
-                {"t_ms": reading.timestamp_ms, "kind": kind.value, "value": payload}
-            ))
-        else:
-            cells = value if isinstance(value, tuple) else (value,)
-            click.echo(",".join([f"{reading.timestamp_ms:.6f}"] + [f"{c:.9g}" for c in cells]))
+    write = sys.stdout.write
+    try:
+        for i in range(n):
+            t_ms = i * 1000.0 / rate
+            reading = _domain(sample, state, kind, t_ms, shield_cfg)
+            value = reading.value
+            if fmt == "jsonl":
+                payload = list(value) if isinstance(value, tuple) else value
+                write(json.dumps(
+                    {"t_ms": reading.timestamp_ms, "kind": kind.value, "value": payload}
+                ) + "\n")
+            else:
+                cells = value if isinstance(value, tuple) else (value,)
+                write(",".join([f"{reading.timestamp_ms:.6f}"] + [f"{c:.9g}" for c in cells])
+                      + "\n")
+    finally:
+        sys.stdout.flush()  # a pipe or file is block-buffered
 
 
 # ----------------------------------------------------------------------
@@ -298,11 +302,14 @@ def time_shield(quantum, no_randomize, session, origin):
             except ValueError:
                 raise _DomainError(f"not a timestamp: {line!r}") from None
 
+    write = sys.stdout.write
     try:
         for shielded in shield_stream(seed, parse_lines(), cfg):
-            click.echo(f"{shielded!r}")
+            write(f"{shielded!r}\n")
     except ValueError as exc:
         raise _DomainError(str(exc))
+    finally:
+        sys.stdout.flush()  # a pipe or file is block-buffered
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +384,8 @@ def nbs_check(origin_class, target, resolved, mode):
               help="JSONL decision log.")
 def nbs_proxy(listen, mode, origin_class, log_path):
     """Run the filtering forward proxy until interrupted."""
+    from .proxy import ProxyConfig, run_proxy  # here, so other commands skip http.server
+
     host, _, port_text = listen.rpartition(":")
     try:
         port = int(port_text)

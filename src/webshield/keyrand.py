@@ -160,10 +160,30 @@ def keystream_bytes(seed: FarbleSeed, offset: int, length: int) -> bytes:
     return b"".join(chunks)[start : start + length]
 
 
+_unpack_u64 = struct.Struct("<Q").unpack_from
+# The last block a draw read, as (seed bytes, block index, block).  One
+# tuple rebinding is atomic, so threads that race here only rehash.
+_last_block = (None, None, None)
+
+
 def uniform01(seed: FarbleSeed, index: int) -> float:
-    """Deterministic uniform draw in [0, 1) with 53-bit precision."""
-    u = struct.unpack("<Q", keystream_bytes(seed, 8 * index, 8))[0]
-    return (u >> 11) * 2.0**-53
+    """Deterministic uniform draw in [0, 1) with 53-bit precision.
+
+    Draw ``index`` is ``u01[index]`` of the stream: bytes ``8 * (index & 3)``
+    onwards of block ``index >> 2``.  Four consecutive draws share a block,
+    so the last block read is kept for the next draw.
+    """
+    global _last_block
+    cached_seed, cached_index, block = _last_block
+    block_index = index >> 2
+    if block_index != cached_index or seed.value != cached_seed:
+        if index < 0:
+            raise ValueError("draw index must be non-negative")
+        if block_index >= 1 << 64:
+            raise ValueError("draw past block 2**64 - 1 (64-bit block counter)")
+        block = keystream_block(seed, block_index)
+        _last_block = (seed.value, block_index, block)
+    return (_unpack_u64(block, 8 * (index & 3))[0] >> 11) * 2.0**-53
 
 
 def uniform_range(seed: FarbleSeed, index: int, lo: int, hi: int) -> int:

@@ -23,6 +23,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .keyrand import FarbleSeed, uniform01, uniform_range
 from .timeshield import ShieldConfig, shield_timestamp, time_subseed
@@ -65,8 +66,7 @@ class SensorKind(str, Enum):
     AMBIENT_LIGHT = "ambient_light"
 
 
-@dataclass(frozen=True)
-class SineTerm:
+class SineTerm(NamedTuple):
     amplitude: float
     period_s: float
     phase: float
@@ -79,10 +79,9 @@ class SineBank:
     terms: tuple
 
     def value(self, t_s: float) -> float:
-        return sum(
-            term.amplitude * math.sin(2.0 * math.pi * t_s / term.period_s + term.phase)
-            for term in self.terms
-        )
+        sin = math.sin
+        w = 2.0 * math.pi * t_s
+        return sum(a * sin(w / p + ph) for a, p, ph in self.terms)
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,7 @@ class DeviceState:
     """Immutable generated device, fully determined by its seed."""
 
     seed: FarbleSeed
+    time_seed: FarbleSeed  # time_subseed(seed), for the reading timestamps
     orientation: tuple  # unit quaternion (w, x, y, z), device -> world
     mag_baseline: tuple  # microtesla
     mag_banks: tuple  # one SineBank per axis
@@ -199,10 +199,9 @@ def init_device_state(seed: FarbleSeed) -> DeviceState:
                 period_s=draw.between(*MODEL.mag_period_s),
                 phase=2.0 * math.pi * draw.u01(),
             )
-            key = (term.amplitude, term.period_s, term.phase)
-            if key in seen:  # same triple twice would collapse two sines
+            if term in seen:  # same triple twice would collapse two sines
                 continue
-            seen.add(key)
+            seen.add(term)
             terms.append(term)
         banks.append(SineBank(tuple(terms)))
 
@@ -214,6 +213,7 @@ def init_device_state(seed: FarbleSeed) -> DeviceState:
     }
     return DeviceState(
         seed=seed,
+        time_seed=time_subseed(seed),
         orientation=orientation,
         mag_baseline=baseline,
         mag_banks=tuple(banks),
@@ -306,5 +306,5 @@ def sample(
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown sensor kind: {kind!r}")
 
-    timestamp = shield_timestamp(time_subseed(state.seed), t_ms, shield_cfg)
+    timestamp = shield_timestamp(state.time_seed, t_ms, shield_cfg)
     return SensorReading(kind=kind, value=value, timestamp_ms=timestamp)

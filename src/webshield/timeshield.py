@@ -55,6 +55,10 @@ class ContextEpoch:
         return cls(time.monotonic() * 1000.0)
 
 
+def _bucket_overflow(t_ms: float, cfg: ShieldConfig) -> ValueError:
+    return ValueError(f"timestamp {t_ms} over quantum {cfg.quantum_ms} overflows the bucket index")
+
+
 def shield_timestamp(seed: FarbleSeed, t_ms: float, cfg: ShieldConfig | None = None) -> float:
     """Shield one timestamp (milliseconds).
 
@@ -66,7 +70,10 @@ def shield_timestamp(seed: FarbleSeed, t_ms: float, cfg: ShieldConfig | None = N
     cfg = cfg or ShieldConfig()
     if not 0 <= t_ms < math.inf:
         raise ValueError(f"timestamp must be finite and >= 0, got {t_ms}")
-    bucket = int(t_ms // cfg.quantum_ms)
+    try:
+        bucket = int(t_ms // cfg.quantum_ms)
+    except OverflowError:
+        raise _bucket_overflow(t_ms, cfg) from None
     base = bucket * cfg.quantum_ms
     if not cfg.randomize:
         return base
@@ -85,7 +92,10 @@ def shield_stream(
     for t_ms in timestamps:
         if not 0 <= t_ms < inf:
             raise ValueError(f"timestamp must be finite and >= 0, got {t_ms}")
-        bucket = int(t_ms // cfg.quantum_ms)
+        try:
+            bucket = int(t_ms // cfg.quantum_ms)
+        except OverflowError:
+            raise _bucket_overflow(t_ms, cfg) from None
         if not cfg.randomize:
             yield bucket * cfg.quantum_ms
             continue

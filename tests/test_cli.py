@@ -153,6 +153,22 @@ class TestVersionAndUsage:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, stdin", [
+        (["--version"], ""),
+        (["time", "shield", "--origin", ORIGIN, "--session", FIXED_SESSION], "5\n"),
+    ], ids=["version", "time-shield"])
+    def test_command_without_the_proxy_leaves_http_server_unimported(self, args, stdin):
+        import subprocess
+        import sys
+
+        report = ("import atexit, runpy, sys; atexit.register(lambda: print(sorted("
+                  "m for m in ('webshield.proxy', 'http.server') if m in sys.modules), "
+                  "file=sys.stderr)); runpy.run_module('webshield', run_name='__main__')")
+        result = subprocess.run([sys.executable, "-c", report, *args], input=stdin,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "[]\n"
+
 
 class TestFarbleCanvas:
     def test_deterministic_across_runs(self, runner, tmp_path):

@@ -3,12 +3,15 @@ output byte pinned, partial output before a bad line, and a reader that
 goes away early."""
 
 import hashlib
+import math
 import random
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from webshield.cli import main
 
@@ -113,3 +116,40 @@ class TestClosedReader:
         process.stdout.close()
         _, stderr = process.communicate(timeout=60)
         assert (process.returncode, stderr) == (1, "")
+
+
+# any float, with the edges named so that every run tries them
+ANY_FLOAT = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-320, -1.0, 1e308, math.inf, -math.inf, math.nan])
+
+
+def assert_clean(result):
+    """Exit 0, 1 or 2 through click; an escaped exception is a traceback
+    in a real run."""
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        result.exception
+    assert "Traceback" not in result.output
+
+
+class TestHostileNumbers:
+    @given(rate=ANY_FLOAT, duration=ANY_FLOAT, quantum=ANY_FLOAT)
+    @example(rate=1.0, duration=3.0, quantum=5e-324)  # the bucket index overflowed
+    @settings(max_examples=100, deadline=None)
+    def test_sensors_gen_options(self, rate, duration, quantum):
+        assume(not (0 < rate < math.inf and 0 <= duration < math.inf
+                    and rate * duration > 200))
+        result = CliRunner().invoke(main, [
+            "sensors", "gen", "--sensor", "magnetometer", f"--rate={rate!r}",
+            f"--duration={duration!r}", f"--quantum={quantum!r}", *KEYS])
+        assert_clean(result)
+
+    @given(quantum=ANY_FLOAT, randomize=st.booleans())
+    @example(quantum=5e-324, randomize=True)  # the bucket index overflowed
+    @example(quantum=5e-324, randomize=False)
+    @settings(max_examples=100, deadline=None)
+    def test_time_shield_quantum(self, quantum, randomize):
+        flags = [] if randomize else ["--no-randomize"]
+        result = CliRunner().invoke(main, ["time", "shield", f"--quantum={quantum!r}",
+                                           *flags, *KEYS], input="0\n5\n1e6\n")
+        assert_clean(result)

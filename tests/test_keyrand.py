@@ -9,7 +9,7 @@ import hashlib
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webshield.keyrand import (
@@ -191,6 +191,43 @@ class TestUniform01:
     def test_negative_index_rejected(self, canvas_seed):
         with pytest.raises(ValueError):
             uniform01(canvas_seed, -1)
+
+
+# Draw indices: small ones, both sides of block edges, and the last draw
+# the 64-bit block counter allows.
+DRAW_INDEX = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=2**20).flatmap(
+        lambda k: st.sampled_from([4 * k - 1, 4 * k])),
+    st.just(2**66 - 1),
+)
+MEMO_SEEDS = [derive_seed(SessionKey(bytes(32)), Origin.parse("https://a.example"), tag)
+              for tag in ("canvas", "time", "sensor")]
+
+
+class TestUniform01Memo:
+    """``uniform01`` keeps the last block it hashed; no interleaving of
+    seeds and indices may let one draw see another's block."""
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=2), DRAW_INDEX), max_size=20))
+    @example([(0, 3), (1, 3), (0, 4), (0, 3), (2, 2**66 - 1), (2, 2**66 - 4)])
+    @settings(max_examples=60)
+    def test_draws_match_the_keystream_oracle(self, draws):
+        for which, index in draws:
+            seed = MEMO_SEEDS[which]
+            raw = keystream_bytes(seed, 8 * index, 8)
+            assert uniform01(seed, index) == (struct.unpack("<Q", raw)[0] >> 11) * 2.0**-53
+
+    @pytest.mark.parametrize("index", [-1, -4, 2**66, 2**70])
+    def test_index_outside_the_stream_rejected(self, index):
+        uniform01(SEED, 0)  # a block in the memo must not stand in for the check
+        with pytest.raises(ValueError):
+            uniform01(SEED, index)
+
+    def test_last_draw_of_the_block_counter(self):
+        with pytest.raises(ValueError, match="64-bit block counter"):
+            uniform01(SEED, 2**66)
+        assert 0.0 <= uniform01(SEED, 2**66 - 1) < 1.0
 
 
 class TestUniformRange:

@@ -53,6 +53,15 @@ class TestShieldTimestamp:
         with pytest.raises(ValueError, match="64-bit block counter"):
             shield_timestamp(SEED, 1e308, NOISY)
 
+    @pytest.mark.parametrize("randomize", [False, True], ids=["plain", "noisy"])
+    def test_bucket_index_overflow_rejected(self, randomize):
+        # 5 / 1e-320 is inf: no integer bucket exists
+        cfg = ShieldConfig(quantum_ms=1e-320, randomize=randomize)
+        with pytest.raises(ValueError, match="overflows the bucket index"):
+            shield_timestamp(SEED, 5.0, cfg)
+        with pytest.raises(ValueError, match="overflows the bucket index"):
+            list(shield_stream(SEED, [0.0, 5.0], cfg))
+
     def test_bad_quantum_rejected(self):
         with pytest.raises(ValueError):
             ShieldConfig(quantum_ms=0.0)
