@@ -4,6 +4,7 @@ goes away early."""
 
 import hashlib
 import math
+import os
 import random
 import subprocess
 import sys
@@ -75,11 +76,12 @@ class TestStreamGolden:
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == SENSORS_GEN_SHA[sensor, fmt]
 
 
-def run_cli(args, stdin, **kwargs):
-    """``python -m webshield ARGS`` with its stdout on a pipe, so that
-    stdout is block-buffered as in any shell pipeline."""
-    return subprocess.run([sys.executable, "-m", "webshield", *args], stdin=stdin,
-                          capture_output=True, text=True, timeout=60, **kwargs)
+def webshield(args, **kwargs):
+    """Start ``python -m webshield ARGS`` with the interpreter's default
+    buffering: stdout on a pipe is block-buffered, as in a shell pipeline."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "webshield", *args, *KEYS], env=env,
+                            text=True, **kwargs)
 
 
 class TestPartialOutput:
@@ -87,14 +89,17 @@ class TestPartialOutput:
         ("x", "not a timestamp: 'x'"),
         ("inf", "timestamp must be finite and >= 0, got inf"),
     ])
-    def test_lines_before_a_bad_line_reach_stdout(self, tmp_path, bad, message):
+    def test_lines_before_a_bad_line_come_out_before_the_error(self, tmp_path, bad, message):
+        """As in ``webshield time shield <in >out 2>&1``: stdout is a pipe,
+        so block-buffered, and stderr shares it."""
         path = tmp_path / "in.txt"
         path.write_text(f"5\n6\n{bad}\n")
         with open(path) as stdin:
-            result = run_cli(["time", "shield", *KEYS], stdin)
-        assert result.returncode == 1
-        assert result.stdout == "5.408292027151002\n" * 2
-        assert result.stderr.splitlines() == [f"Error: {message}"]
+            process = webshield(["time", "shield"], stdin=stdin, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT)
+        output, _ = process.communicate(timeout=60)
+        assert process.returncode == 1
+        assert output == "5.408292027151002\n" * 2 + f"Error: {message}\n"
 
 
 class TestClosedReader:
@@ -109,9 +114,7 @@ class TestClosedReader:
         path = tmp_path / "in.txt"
         path.write_text("".join(f"{i * 0.7:.1f}\n" for i in range(n_lines)))
         with open(path) as stdin:
-            process = subprocess.Popen([sys.executable, "-m", "webshield", *args, *KEYS],
-                                       stdin=stdin, stdout=subprocess.PIPE,
-                                       stderr=subprocess.PIPE, text=True)
+            process = webshield(args, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert process.stdout.readline()
         process.stdout.close()
         _, stderr = process.communicate(timeout=60)

@@ -218,6 +218,37 @@ class TestUniform01Memo:
             raw = keystream_bytes(seed, 8 * index, 8)
             assert uniform01(seed, index) == (struct.unpack("<Q", raw)[0] >> 11) * 2.0**-53
 
+    def test_threads_sharing_the_memo_each_see_their_own_draws(self):
+        import random
+        import sys
+        import threading
+
+        draws = [(which, index) for which in range(3) for index in range(48)]
+        oracle = {(which, index): (struct.unpack("<Q", keystream_bytes(
+            MEMO_SEEDS[which], 8 * index, 8))[0] >> 11) * 2.0**-53 for which, index in draws}
+        wrong, start = [], threading.Barrier(4)
+
+        def worker(order):
+            start.wait()
+            for _ in range(15):
+                for which, index in order:
+                    if uniform01(MEMO_SEEDS[which], index) != oracle[which, index]:
+                        wrong.append((which, index))
+
+        threads = [threading.Thread(target=worker, args=(random.Random(n).sample(draws, len(draws)),))
+                   for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
     @pytest.mark.parametrize("index", [-1, -4, 2**66, 2**70])
     def test_index_outside_the_stream_rejected(self, index):
         uniform01(SEED, 0)  # a block in the memo must not stand in for the check
