@@ -1,6 +1,6 @@
 """The line-streaming commands, `time shield` and `sensors gen`: every
-output byte pinned, partial output before a bad line, and a reader that
-goes away early."""
+output byte pinned, partial output before a bad line, a reader that goes
+away early, and hostile numeric options."""
 
 import hashlib
 import math
@@ -26,19 +26,20 @@ def runner():
     return CliRunner()
 
 
-def timestamp_lines(n=10_000, quantum=10.0):
-    """``n`` seeded timestamps: runs inside one bucket, steps to the next
-    bucket and skips of up to 40 buckets, in about equal parts.  Only
-    ``Random.random`` is used, whose sequence Python keeps stable."""
+def timestamp_lines():
+    """10k seeded timestamps in 10 ms buckets: runs inside one bucket,
+    steps to the next bucket and skips of up to 40 buckets, in about equal
+    parts.  Only ``Random.random`` is used, whose sequence Python keeps
+    stable."""
     rng = random.Random(8)
     bucket, lines = 0, []
-    for _ in range(n):
+    for _ in range(10_000):
         step = rng.random()
         if step >= 0.7:
             bucket += 2 + int(rng.random() * 40)
         elif step >= 0.4:
             bucket += 1
-        lines.append(f"{(bucket + rng.random()) * quantum:.4f}\n")
+        lines.append(f"{(bucket + rng.random()) * 10.0:.4f}\n")
     return "".join(lines)
 
 
