@@ -92,11 +92,14 @@ class _DomainError(click.ClickException):
     exit_code = 1
 
 
-def _domain(call, *args, **kwargs):
-    try:
-        return call(*args, **kwargs)
-    except ValueError as exc:
-        raise _DomainError(str(exc))
+class _Main(click.Group):
+    """The root group: a ValueError from any command exits 1 as a domain error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise _DomainError(str(exc))
 
 
 def _protect(profile: str, group: str, payload, little_lie):
@@ -107,10 +110,10 @@ def _protect(profile: str, group: str, payload, little_lie):
     """
     action = PROFILES[profile].actions[group]
     click.echo(f"action={action.value} group={group}", err=True)
-    return _domain(protect, action, group, payload, little_lie)
+    return protect(action, group, payload, little_lie)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__, message=VERSION_TEXT)
 def main():
     """Anti-fingerprinting engine: farbled values, fake sensors, shielded
@@ -134,7 +137,7 @@ def farble():
 @profile_option
 def farble_canvas(in_path, out_path, session, origin, profile):
     """Farble an RGBA bitmap file (LE32 w, LE32 h, RGBA bytes)."""
-    bitmap = _domain(formats.read_bitmap, in_path)
+    bitmap = formats.read_bitmap(in_path)
     out = _protect(profile, "canvas", bitmap,
                    lambda b: farble_bitmap(derive_seed(session, origin, "canvas"), b))
     if out is not None:
@@ -149,7 +152,7 @@ def farble_canvas(in_path, out_path, session, origin, profile):
 @profile_option
 def farble_audio_cmd(in_path, out_path, session, origin, profile):
     """Farble a raw audio file (LE32 rate, LE32 ch, LE32 frames, f32 LE)."""
-    audio = _domain(formats.read_audio, in_path)
+    audio = formats.read_audio(in_path)
     out = _protect(profile, "audio", audio,
                    lambda a: farble_audio(derive_seed(session, origin, "audio"), a))
     if out is not None:
@@ -168,7 +171,7 @@ def farble_audio_cmd(in_path, out_path, session, origin, profile):
 def farble_geo(lat, lon, accuracy, precision, session, origin, profile):
     """Degrade a coordinate to origin-keyed grid precision."""
     coord = GeoCoordinate(lat, lon, accuracy)
-    _domain(validate_geo_request, coord, precision)
+    validate_geo_request(coord, precision)
     out = _protect(
         profile, "geolocation", coord,
         lambda c: degrade_geolocation(derive_seed(session, origin, "geo"), c, precision),
@@ -207,7 +210,7 @@ def spoof_gl(session, origin, profile):
 @profile_option
 def spoof_devices(count, session, origin, profile):
     """Emit spoofed media device identifiers, one per line."""
-    _domain(validate_device_count, count)
+    validate_device_count(count)
     ids = _protect(profile, "mediadevices", None,
                    lambda _: spoof_device_ids(derive_seed(session, origin, "mediadevices"), count))
     for device_id in ids or ():
@@ -241,7 +244,7 @@ def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
             "rate must be finite and > 0, duration finite and >= 0, and their product finite"
         )
     state = init_device_state(derive_seed(session, origin, "sensor"))
-    shield_cfg = _domain(ShieldConfig, quantum_ms=quantum)
+    shield_cfg = ShieldConfig(quantum_ms=quantum)
     kind = SensorKind(kind)
     n = int(rate * duration)
     if fmt == "csv":
@@ -255,7 +258,7 @@ def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
     try:
         for i in range(n):
             t_ms = i * 1000.0 / rate
-            reading = _domain(sample, state, kind, t_ms, shield_cfg)
+            reading = sample(state, kind, t_ms, shield_cfg)
             value = reading.value
             if fmt == "jsonl":
                 payload = list(value) if isinstance(value, tuple) else value
@@ -286,10 +289,7 @@ def time():
 @origin_option
 def time_shield(quantum, no_randomize, session, origin):
     """Shield newline-separated millisecond timestamps from stdin."""
-    try:
-        cfg = ShieldConfig(quantum_ms=quantum, randomize=not no_randomize)
-    except ValueError as exc:
-        raise _DomainError(str(exc))
+    cfg = ShieldConfig(quantum_ms=quantum, randomize=not no_randomize)
     seed = derive_seed(session, origin, "time")
 
     def parse_lines():
@@ -300,14 +300,12 @@ def time_shield(quantum, no_randomize, session, origin):
             try:
                 yield float(line)
             except ValueError:
-                raise _DomainError(f"not a timestamp: {line!r}") from None
+                raise ValueError(f"not a timestamp: {line!r}") from None
 
     write = sys.stdout.write
     try:
         for shielded in shield_stream(seed, parse_lines(), cfg):
             write(f"{shielded!r}\n")
-    except ValueError as exc:
-        raise _DomainError(str(exc))
     finally:
         sys.stdout.flush()  # a pipe or file is block-buffered
 
@@ -329,8 +327,8 @@ def fpd():
 @click.option("--report", "report_path", type=click.Path(path_type=Path))
 def fpd_analyze(trace, config_path, mode, report_path):
     """Analyze a trace file and render the detection report."""
-    cfg = _domain(load_fpd_config, config_path) if config_path else default_config()
-    _state, verdict, report = _domain(analyze_trace, trace, cfg)
+    cfg = load_fpd_config(config_path) if config_path else default_config()
+    _state, verdict, report = analyze_trace(trace, cfg)
     click.echo(report.to_text())
     if report_path:
         report_path.write_text(report.to_json() + "\n")
@@ -361,9 +359,9 @@ def nbs_check(origin_class, target, resolved, mode):
     if target.count(":") > 1 and not target.startswith("["):
         host, port = target, 0  # bare IPv6 literal: its colons separate no port
     else:
-        host, port = _domain(split_authority, target, 0)
+        host, port = split_authority(target, 0)
     if resolved is not None:
-        decision = _domain(decide, mode, origin, host, resolved, LearnCache())
+        decision = decide(mode, origin, host, resolved, LearnCache())
     else:
         try:
             decision, _ = gate(mode, origin, host, port, LearnCache())

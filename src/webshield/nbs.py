@@ -161,10 +161,11 @@ def observe_reply(cache: LearnCache, hostname: str, ip) -> LearnCache:
 def split_authority(authority: str, default_port: int) -> tuple[str, int]:
     """(host, port) of a ``host[:port]`` or ``[v6][:port]`` authority.
 
-    ValueError unless the host is non-empty and the port is 1-65535, and
-    for a bracket left open or followed by anything but ``:port``; a bare
-    IPv6 literal is rejected too, as its colons cannot be told from a port
-    separator.
+    ValueError unless the host is non-empty, encodes as IDNA (as the
+    resolver needs: no empty label, none over 63 characters) and the port
+    is 1-65535, and for a bracket left open or followed by anything but
+    ``:port``; a bare IPv6 literal is rejected too, as its colons cannot
+    be told from a port separator.
     """
     if authority.startswith("["):  # bracketed IPv6
         host, bracket, rest = authority[1:].partition("]")
@@ -175,6 +176,10 @@ def split_authority(authority: str, default_port: int) -> tuple[str, int]:
         host, _, port_text = authority.partition(":")
     if not host:
         raise ValueError(f"empty host in request target {authority!r}")
+    try:
+        host.encode("idna")
+    except UnicodeError:
+        raise ValueError(f"host is not a valid DNS name in request target {authority!r}") from None
     if not port_text:
         return host, default_port
     if not (port_text.isascii() and port_text.isdigit() and 0 < int(port_text) < 65536):

@@ -6,23 +6,19 @@ session but stay self-consistent.  P2 leaves fingerprintable groups
 untouched and keeps only the security protections (timing).  P3 trades
 fingerprintability for information hiding: groups either return fixed
 fake values shared by every P3 user or are blocked outright.
-``protect`` carries out one action on one payload, for the CLI and for
-any host that embeds the engine.
-
-The endpoint catalog is a representative selection of commonly wrapped
-read surfaces, not an exhaustive API inventory.
+``PROFILES[pid].actions`` is the whole table; ``protect`` carries out
+one action on one payload, for the CLI and for any host that embeds
+the engine.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .farble import AudioSamples, BitmapBuffer, GlStringSet
 
-TABLE_SCHEMA_VERSION = 1
+TABLE_SCHEMA_VERSION = 1  # versions the PROFILES table; ``--version`` prints it
 
 
 class ProtectionAction(Enum):
@@ -49,58 +45,6 @@ GROUPS = {
     "webrtc": True,
     "speech": True,
     "timing": False,
-}
-
-ENDPOINT_GROUPS = {
-    "HTMLCanvasElement.prototype.toDataURL": "canvas",
-    "HTMLCanvasElement.prototype.toBlob": "canvas",
-    "OffscreenCanvas.prototype.convertToBlob": "canvas",
-    "CanvasRenderingContext2D.prototype.getImageData": "canvas",
-    "WebGLRenderingContext.prototype.getParameter": "webgl",
-    "WebGLRenderingContext.prototype.readPixels": "webgl",
-    "WebGLRenderingContext.prototype.getSupportedExtensions": "webgl",
-    "WebGL2RenderingContext.prototype.getParameter": "webgl",
-    "AudioBuffer.prototype.getChannelData": "audio",
-    "AnalyserNode.prototype.getFloatFrequencyData": "audio",
-    "AudioBuffer.prototype.copyFromChannel": "audio",
-    "OfflineAudioContext.prototype.startRendering": "audio",
-    "CanvasRenderingContext2D.prototype.measureText": "fonts",
-    "FontFaceSet.prototype.check": "fonts",
-    "Navigator.prototype.userAgent": "navigator",
-    "Navigator.prototype.platform": "navigator",
-    "Navigator.prototype.language": "navigator",
-    "Navigator.prototype.languages": "navigator",
-    "Navigator.prototype.plugins": "navigator",
-    "Navigator.prototype.mimeTypes": "navigator",
-    "Navigator.prototype.hardwareConcurrency": "navigator",
-    "Navigator.prototype.deviceMemory": "navigator",
-    "Navigator.prototype.webdriver": "navigator",
-    "Screen.prototype.width": "screen",
-    "Screen.prototype.height": "screen",
-    "Screen.prototype.availWidth": "screen",
-    "Screen.prototype.availHeight": "screen",
-    "Screen.prototype.colorDepth": "screen",
-    "Window.prototype.devicePixelRatio": "screen",
-    "Navigator.prototype.getBattery": "battery",
-    "BatteryManager.prototype.level": "battery",
-    "BatteryManager.prototype.charging": "battery",
-    "Navigator.prototype.getGamepads": "gamepad",
-    "Gamepad.prototype.id": "gamepad",
-    "Accelerometer": "sensors",
-    "Gyroscope": "sensors",
-    "Magnetometer": "sensors",
-    "AmbientLightSensor": "sensors",
-    "Geolocation.prototype.getCurrentPosition": "geolocation",
-    "Geolocation.prototype.watchPosition": "geolocation",
-    "MediaDevices.prototype.enumerateDevices": "mediadevices",
-    "RTCPeerConnection": "webrtc",
-    "RTCPeerConnection.prototype.createDataChannel": "webrtc",
-    "RTCPeerConnection.prototype.createOffer": "webrtc",
-    "SpeechSynthesis.prototype.getVoices": "speech",
-    "Performance.prototype.now": "timing",
-    "Date.now": "timing",
-    "Event.prototype.timeStamp": "timing",
-    "Sensor.prototype.timestamp": "timing",
 }
 
 # P3 stance per fingerprintable group: fixed fake values where a
@@ -130,30 +74,15 @@ class ProtectionProfile:
     id: str
     actions: dict
 
-    def __post_init__(self) -> None:
-        missing = set(GROUPS) - set(self.actions)
-        if missing:
-            raise ValueError(f"profile {self.id} missing groups: {sorted(missing)}")
-        extra = set(self.actions) - set(GROUPS)
-        if extra:
-            raise ValueError(f"profile {self.id} has unknown groups: {sorted(extra)}")
 
-
-def _build_profiles() -> dict:
-    p1 = {g: ProtectionAction.LITTLE_LIE for g in GROUPS}
-    p2 = {
+PROFILES = {
+    "p1": ProtectionProfile("p1", {g: ProtectionAction.LITTLE_LIE for g in GROUPS}),
+    "p2": ProtectionProfile("p2", {
         g: ProtectionAction.PASS_THROUGH if fingerprintable else ProtectionAction.LITTLE_LIE
         for g, fingerprintable in GROUPS.items()
-    }
-    p3 = dict(_P3_ACTIONS)
-    return {
-        "p1": ProtectionProfile("p1", p1),
-        "p2": ProtectionProfile("p2", p2),
-        "p3": ProtectionProfile("p3", p3),
-    }
-
-
-PROFILES = _build_profiles()
+    }),
+    "p3": ProtectionProfile("p3", dict(_P3_ACTIONS)),
+}
 
 # The value FIXED_FAKE hands back, per group, shaped after the real payload:
 # every P3 user reads the same white canvas, the same silence, the same GPU.
@@ -168,14 +97,6 @@ _FIXED_FAKES = {
         "Generic Vendor", "Generic Renderer", "Generic Vendor", "Generic Renderer"
     ),
 }
-
-
-def resolve_protection(profile: ProtectionProfile, endpoint: str) -> ProtectionAction:
-    """Map an endpoint to its group's action; unknown endpoints pass through."""
-    group = ENDPOINT_GROUPS.get(endpoint)
-    if group is None:
-        return ProtectionAction.PASS_THROUGH
-    return profile.actions[group]
 
 
 def protect(action: ProtectionAction, group: str, payload, little_lie):
@@ -195,26 +116,3 @@ def protect(action: ProtectionAction, group: str, payload, little_lie):
             raise ValueError(f"no fixed fake for group {group!r}")
         return _FIXED_FAKES[group](payload)
     return little_lie(payload)
-
-
-def profiles_to_json() -> str:
-    doc = {
-        "version": TABLE_SCHEMA_VERSION,
-        "profiles": {
-            pid: {g: a.value for g, a in prof.actions.items()}
-            for pid, prof in PROFILES.items()
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def profiles_from_json(text: str | Path) -> dict:
-    if isinstance(text, Path):
-        text = text.read_text()
-    doc = json.loads(text)
-    if doc.get("version") != TABLE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported profile table version: {doc.get('version')}")
-    return {
-        pid: ProtectionProfile(pid, {g: ProtectionAction(a) for g, a in table.items()})
-        for pid, table in doc["profiles"].items()
-    }

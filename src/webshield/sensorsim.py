@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -53,6 +53,12 @@ class SensorModel:
 
 
 MODEL = SensorModel()
+
+# Noise scale per reading, the same for every device.
+_GRAVITY_NOISE = MODEL.gravity_noise_ms2
+_LINEAR_NOISE = MODEL.linear_accel_max_ms2 / math.sqrt(3.0)
+_GYRO_NOISE = MODEL.gyro_max_rad_s / math.sqrt(3.0)
+_ORIENTATION_NOISE = math.radians(MODEL.orientation_noise_deg)
 
 
 class SensorKind(str, Enum):
@@ -91,10 +97,10 @@ class DeviceState:
     seed: FarbleSeed
     time_seed: FarbleSeed  # time_subseed(seed), for the reading timestamps
     orientation: tuple  # unit quaternion (w, x, y, z), device -> world
+    gravity: tuple  # the world's gravity in the device frame, m/s^2
     mag_baseline: tuple  # microtesla
     mag_banks: tuple  # one SineBank per axis
     ambient_lux: float
-    noise_scales: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -205,20 +211,14 @@ def init_device_state(seed: FarbleSeed) -> DeviceState:
             terms.append(term)
         banks.append(SineBank(tuple(terms)))
 
-    scales = {
-        "gravity": MODEL.gravity_noise_ms2,
-        "linear_acceleration": MODEL.linear_accel_max_ms2 / math.sqrt(3.0),
-        "gyroscope": MODEL.gyro_max_rad_s / math.sqrt(3.0),
-        "orientation": math.radians(MODEL.orientation_noise_deg),
-    }
     return DeviceState(
         seed=seed,
         time_seed=time_subseed(seed),
         orientation=orientation,
+        gravity=rotate_world_to_device(orientation, (0.0, 0.0, -GRAVITY_MS2)),
         mag_baseline=baseline,
         mag_banks=tuple(banks),
         ambient_lux=ambient,
-        noise_scales=scales,
     )
 
 
@@ -240,13 +240,12 @@ def _noise_vec(state: DeviceState, label: str, t_ms: float, scale: float) -> tup
 
 
 def _gravity_device(state: DeviceState, t_ms: float) -> tuple:
-    base = rotate_world_to_device(state.orientation, (0.0, 0.0, -GRAVITY_MS2))
-    noise = _noise_vec(state, "gravity", t_ms, state.noise_scales["gravity"])
-    return tuple(b + n for b, n in zip(base, noise))
+    noise = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
+    return tuple(b + n for b, n in zip(state.gravity, noise))
 
 
 def _linear_device(state: DeviceState, t_ms: float) -> tuple:
-    return _noise_vec(state, "linear", t_ms, state.noise_scales["linear_acceleration"])
+    return _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
 
 
 def _perturbed_orientation(state: DeviceState, label: str, t_ms: float) -> tuple:
@@ -255,7 +254,7 @@ def _perturbed_orientation(state: DeviceState, label: str, t_ms: float) -> tuple
     azimuth = 2.0 * math.pi * ub
     r = math.sqrt(max(0.0, 1.0 - z * z))
     axis = (r * math.cos(azimuth), r * math.sin(azimuth), z)
-    angle = ud * state.noise_scales["orientation"]
+    angle = ud * _ORIENTATION_NOISE
     half = angle / 2.0
     dq = (math.cos(half), *(math.sin(half) * c for c in axis))
     return _normalize(_quat_mul(dq, state.orientation))
@@ -296,7 +295,7 @@ def sample(
         lin = _linear_device(state, t_ms)
         value = tuple(a + b for a, b in zip(g, lin))
     elif kind is SensorKind.GYROSCOPE:
-        value = _noise_vec(state, "gyro", t_ms, state.noise_scales["gyroscope"])
+        value = _noise_vec(state, "gyro", t_ms, _GYRO_NOISE)
     elif kind is SensorKind.ORIENTATION_ABS:
         value = _perturbed_orientation(state, "orient_abs", t_ms)
     elif kind is SensorKind.ORIENTATION_REL:

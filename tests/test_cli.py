@@ -122,12 +122,43 @@ class TestProfileMatrix:
         assert "action=" not in result.stderr  # rejected before any action applies
 
 
+SENSORS_GEN = ["sensors", "gen", "--sensor", "gravity", "--rate", "10", "--duration", "1",
+               "--origin", ORIGIN, "--session", FIXED_SESSION]
+
+
 class TestVersionAndUsage:
     def test_version_prints_schema_versions(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "webshield" in result.output
         assert "fpd-config-schema 1" in result.output
+
+    def test_value_error_in_a_nested_command_exits_1_with_one_error_line(
+        self, runner, monkeypatch
+    ):
+        from webshield import cli
+
+        def fail(*_):
+            raise UnicodeError("label empty or too long")
+
+        # a call no command wraps itself: the root group maps it
+        monkeypatch.setattr(cli, "init_device_state", fail)
+        result = runner.invoke(main, SENSORS_GEN)
+        assert_clean_exit(result, 1, "label empty or too long")
+        assert result.stderr == "Error: label empty or too long\n"
+
+    def test_value_error_is_a_click_exception_outside_standalone_mode(self, monkeypatch):
+        import click
+
+        from webshield import cli
+
+        def fail(*_):
+            raise ValueError("bad")
+
+        monkeypatch.setattr(cli, "init_device_state", fail)
+        with pytest.raises(click.ClickException) as info:
+            main.main(SENSORS_GEN, prog_name="webshield", standalone_mode=False)
+        assert (info.value.exit_code, info.value.message) == (1, "bad")
 
     def test_unknown_subcommand_is_usage_error(self, runner):
         result = runner.invoke(main, ["warble"])
@@ -821,6 +852,13 @@ class TestNbsCli:
         result = runner.invoke(main, ["nbs", "check", "--target", target, "--mode", "learn"])
         assert result.exit_code == 1
         assert message in result.output
+
+    @pytest.mark.parametrize("target", ["x..y:80", ".example", "a" * 64 + ".com"])
+    @pytest.mark.parametrize("mode", ["preresolve", "learn"])
+    def test_check_host_idna_cannot_encode_is_domain_error(self, runner, target, mode):
+        result = runner.invoke(main, ["nbs", "check", "--target", target, "--mode", mode])
+        assert_clean_exit(result, 1, "not a valid DNS name")
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:65536"])
     def test_proxy_listen_port_out_of_range_is_usage_error(self, runner, listen):

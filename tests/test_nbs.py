@@ -351,6 +351,9 @@ class TestParserProperties:
     @example("[]:80")
     @example("[::1")
     @example("[::1]80")
+    @example("x..y")
+    @example(".example")
+    @example("a" * 64 + ".com")
     @settings(max_examples=200, deadline=None)
     def test_split_authority_gives_host_and_port_or_value_error(self, authority):
         try:
@@ -358,6 +361,7 @@ class TestParserProperties:
         except ValueError:
             return
         assert host and type(port) is int and 0 < port < 65536
+        host.encode("idna")  # the resolver can take it
         # the authority is the host as written, then nothing or ":port"
         written = f"[{host}]" if authority.startswith("[") else host
         assert authority.startswith(written)

@@ -1,38 +1,27 @@
-"""Protection profile tables, endpoint routing, and the action dispatch."""
-
-import json
+"""Protection profile tables and the action dispatch."""
 
 import pytest
 
 from webshield.farble import AudioSamples, BitmapBuffer
-from webshield.profiles import (
-    ENDPOINT_GROUPS,
-    GROUPS,
-    PROFILES,
-    ProtectionAction,
-    ProtectionProfile,
-    profiles_from_json,
-    profiles_to_json,
-    protect,
-    resolve_protection,
-)
+from webshield.profiles import GROUPS, PROFILES, ProtectionAction, protect
 
 
 class TestProfileTables:
     def test_three_profiles_shipped(self):
         assert set(PROFILES) == {"p1", "p2", "p3"}
 
+    def test_every_profile_covers_exactly_the_groups(self):
+        for profile in PROFILES.values():
+            assert set(profile.actions) == set(GROUPS)
+
     def test_p1_little_lies_canvas(self):
-        action = resolve_protection(PROFILES["p1"], "HTMLCanvasElement.prototype.toDataURL")
-        assert action is ProtectionAction.LITTLE_LIE
+        assert PROFILES["p1"].actions["canvas"] is ProtectionAction.LITTLE_LIE
 
     def test_p2_passes_fingerprintable_through(self):
-        action = resolve_protection(PROFILES["p2"], "HTMLCanvasElement.prototype.toDataURL")
-        assert action is ProtectionAction.PASS_THROUGH
+        assert PROFILES["p2"].actions["canvas"] is ProtectionAction.PASS_THROUGH
 
     def test_p3_gamepad_blocked(self):
-        action = resolve_protection(PROFILES["p3"], "Navigator.prototype.getGamepads")
-        assert action is ProtectionAction.BLOCK
+        assert PROFILES["p3"].actions["gamepad"] is ProtectionAction.BLOCK
 
     def test_p1_all_fingerprintable_little_lie(self):
         for group, fingerprintable in GROUPS.items():
@@ -55,32 +44,6 @@ class TestProfileTables:
     def test_timing_shielded_in_every_profile(self):
         for profile in PROFILES.values():
             assert profile.actions["timing"] is ProtectionAction.LITTLE_LIE
-
-
-class TestResolution:
-    def test_total_over_shipped_endpoints(self):
-        for endpoint in ENDPOINT_GROUPS:
-            for profile in PROFILES.values():
-                assert isinstance(resolve_protection(profile, endpoint), ProtectionAction)
-
-    def test_unknown_endpoint_passes_through(self):
-        for profile in PROFILES.values():
-            assert (
-                resolve_protection(profile, "Navigator.prototype.bluetooth")
-                is ProtectionAction.PASS_THROUGH
-            )
-
-    def test_every_endpoint_group_exists(self):
-        assert set(ENDPOINT_GROUPS.values()) <= set(GROUPS)
-
-    def test_incomplete_profile_rejected(self):
-        with pytest.raises(ValueError):
-            ProtectionProfile("px", {"canvas": ProtectionAction.BLOCK})
-
-    def test_unknown_group_rejected(self):
-        actions = dict(PROFILES["p1"].actions, nope=ProtectionAction.BLOCK)
-        with pytest.raises(ValueError):
-            ProtectionProfile("px", actions)
 
 
 class TestProtect:
@@ -121,17 +84,3 @@ class TestProtect:
     def test_fixed_fake_without_a_fake_value_rejected(self):
         with pytest.raises(ValueError):
             protect(ProtectionAction.FIXED_FAKE, "sensors", None, self._must_not_lie)
-
-
-class TestJsonRoundTrip:
-    def test_round_trip(self):
-        doc = profiles_to_json()
-        assert set(json.loads(doc)) == {"version", "profiles"}
-        loaded = profiles_from_json(doc)
-        assert set(loaded) == set(PROFILES)
-        for pid in PROFILES:
-            assert loaded[pid].actions == PROFILES[pid].actions
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(ValueError):
-            profiles_from_json('{"version": 99, "profiles": {}}')

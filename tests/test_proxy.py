@@ -358,6 +358,27 @@ class TestMalformedRequests:
         finally:
             proxy.stop()
 
+    @pytest.mark.parametrize("mode", list(NbsMode))
+    @pytest.mark.parametrize("head", [
+        "GET http://x..y/ HTTP/1.1\r\n\r\n",
+        "CONNECT x..y:443 HTTP/1.1\r\n\r\n",
+        "GET http://.example/ HTTP/1.1\r\n\r\n",
+        f"CONNECT {'a' * 64}.com:443 HTTP/1.1\r\n\r\n",
+    ], ids=["get-empty-label", "connect-empty-label", "get-leading-dot", "connect-long-label"])
+    def test_host_that_is_not_a_dns_name_gets_400(self, stub, tmp_path, capfd, mode, head):
+        log = tmp_path / "decisions.jsonl"
+        proxy = run_proxy(
+            ProxyConfig(mode=mode, origin_class=AddressClass.LOOPBACK, log_path=log)
+        )
+        try:
+            reply = raw_request(proxy.address, head)
+        finally:
+            proxy.stop()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert stub.connections == 0
+        assert log.read_text() == ""
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_valid_body_still_forwarded(self, stub):
         proxy = run_proxy(
             ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
