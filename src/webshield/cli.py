@@ -35,10 +35,10 @@ from .fpd import (
     load_fpd_config,
 )
 from .keyrand import Origin, SessionKey, derive_seed, new_session_key
-from .nbs import AddressClass, LearnCache, NbsMode, decide, gate, split_authority
+from .nbs import AddressClass, LearnCache, NbsMode, decide, gate, parse_ip, split_authority
 from .profiles import PROFILES, TABLE_SCHEMA_VERSION, protect
 from .sensorsim import SensorKind, init_device_state, sample
-from .timeshield import ShieldConfig, shield_stream
+from .timeshield import DEFAULT_QUANTUM_MS, ShieldConfig, shield_stream
 
 VERSION_TEXT = (
     f"webshield {__version__} "
@@ -171,7 +171,7 @@ def farble_audio_cmd(in_path, out_path, session, origin, profile):
 def farble_geo(lat, lon, accuracy, precision, session, origin, profile):
     """Degrade a coordinate to origin-keyed grid precision."""
     coord = GeoCoordinate(lat, lon, accuracy)
-    validate_geo_request(coord, precision)
+    validate_geo_request(precision)
     out = _protect(
         profile, "geolocation", coord,
         lambda c: degrade_geolocation(derive_seed(session, origin, "geo"), c, precision),
@@ -233,7 +233,7 @@ def sensors():
 @click.option("--duration", type=float, required=True, help="Trace length in seconds.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv",
               show_default=True)
-@click.option("--quantum", type=float, default=10.0, show_default=True,
+@click.option("--quantum", type=float, default=DEFAULT_QUANTUM_MS, show_default=True,
               help="Timestamp shield quantum in ms.")
 @session_option
 @origin_option
@@ -283,7 +283,7 @@ def time():
 
 
 @time.command("shield")
-@click.option("--quantum", type=float, default=10.0, show_default=True)
+@click.option("--quantum", type=float, default=DEFAULT_QUANTUM_MS, show_default=True)
 @click.option("--no-randomize", is_flag=True, default=False)
 @session_option
 @origin_option
@@ -357,7 +357,8 @@ def nbs_check(origin_class, target, resolved, mode):
     mode = NbsMode(mode)
     origin = AddressClass(origin_class)
     if target.count(":") > 1 and not target.startswith("["):
-        host, port = target, 0  # bare IPv6 literal: its colons separate no port
+        parse_ip(target)  # bare IPv6 literal: its colons separate no port
+        host, port = target, 0
     else:
         host, port = split_authority(target, 0)
     if resolved is not None:

@@ -46,7 +46,7 @@ class BitmapBuffer:
     height: int
     data: bytes
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.width < 0 or self.height < 0:
             raise ValueError("bitmap dimensions must be non-negative")
         expected = 4 * self.width * self.height
@@ -67,7 +67,7 @@ class AudioSamples:
     def frame_count(self) -> int:
         return len(self.channels[0]) if self.channels else 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
         frames = self.frame_count()
@@ -103,7 +103,7 @@ class GeoCoordinate:
     longitude: float
     accuracy: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.latitude) and -90.0 <= self.latitude <= 90.0):
             raise ValueError(f"latitude out of range: {self.latitude}")
         if not (math.isfinite(self.longitude) and -180.0 < self.longitude <= 180.0):
@@ -113,9 +113,7 @@ class GeoCoordinate:
 
 
 def _content_keystream(seed: FarbleSeed, content_hash: bytes, length: int) -> bytes:
-    mask_seed = FarbleSeed(
-        hashlib.sha256(seed.value + content_hash).digest(), seed.domain_tag
-    )
+    mask_seed = FarbleSeed(hashlib.sha256(seed.value + content_hash).digest())
     return keystream_bytes(mask_seed, 0, length)
 
 
@@ -133,10 +131,7 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
     hash.  Alpha bytes pass through untouched, and no channel moves by
     more than 1.
     """
-    bitmap.validate()
     n_pixels = bitmap.width * bitmap.height
-    if n_pixels == 0:
-        return bitmap
     content_hash = bitmap_content_hash(seed, bitmap)
     n_bits = 3 * n_pixels
     stream = _content_keystream(seed, content_hash, (n_bits + 7) // 8)
@@ -164,11 +159,8 @@ def farble_audio(seed: FarbleSeed, audio: AudioSamples) -> AudioSamples:
     (u - 0.5) * 2 * AUDIO_EPSILON where u is the content-keyed uniform
     draw at that index; results clamp to [-1, 1].
     """
-    audio.validate()
     frames = audio.frame_count()
     total = frames * len(audio.channels)
-    if total == 0:
-        return AudioSamples(audio.sample_rate, [np.asarray(c, dtype=np.float64) for c in audio.channels])
     content_hash = audio_content_hash(seed, audio)
     stream = _content_keystream(seed, content_hash, 8 * total)
     u64 = np.frombuffer(stream, dtype="<u8")
@@ -212,9 +204,8 @@ def spoof_device_ids(seed: FarbleSeed, count: int) -> list[str]:
     return ids
 
 
-def validate_geo_request(coord: GeoCoordinate, precision_m: float) -> None:
-    """Raise ValueError unless ``degrade_geolocation`` accepts these inputs."""
-    coord.validate()
+def validate_geo_request(precision_m: float) -> None:
+    """Raise ValueError unless ``degrade_geolocation`` accepts this precision."""
     if not (math.isfinite(precision_m) and precision_m > 0):
         raise ValueError("precision must be a positive number of meters")
 
@@ -230,7 +221,7 @@ def degrade_geolocation(
     instead of one globally shared truncation lattice.  Reported accuracy
     never improves past the grid size.
     """
-    validate_geo_request(coord, precision_m)
+    validate_geo_request(precision_m)
 
     u_lat = uniform01(seed, 0)
     u_lon = uniform01(seed, 1)
@@ -250,6 +241,4 @@ def degrade_geolocation(
         lam_out = 360.0
     lon = lam_out - 180.0
 
-    out = GeoCoordinate(lat, lon, max(coord.accuracy, precision_m))
-    out.validate()
-    return out
+    return GeoCoordinate(lat, lon, max(coord.accuracy, precision_m))

@@ -16,7 +16,6 @@ from .farble import AudioSamples, BitmapBuffer
 
 
 def write_bitmap(path: str | Path, bitmap: BitmapBuffer) -> None:
-    bitmap.validate()
     with open(path, "wb") as f:
         f.write(struct.pack("<II", bitmap.width, bitmap.height))
         f.write(bitmap.data)
@@ -27,19 +26,10 @@ def read_bitmap(path: str | Path) -> BitmapBuffer:
     if len(raw) < 8:
         raise ValueError(f"bitmap file too short: {path}")
     width, height = struct.unpack_from("<II", raw)
-    data = raw[8:]
-    expected = 4 * width * height
-    if len(data) != expected:
-        raise ValueError(
-            f"bitmap payload is {len(data)} bytes, header implies {expected}"
-        )
-    bitmap = BitmapBuffer(width, height, data)
-    bitmap.validate()
-    return bitmap
+    return BitmapBuffer(width, height, raw[8:])
 
 
 def write_audio(path: str | Path, audio: AudioSamples) -> None:
-    audio.validate()
     frames = audio.frame_count()
     arr = np.asarray(audio.channels, dtype=np.float32).reshape(len(audio.channels), frames)
     with open(path, "wb") as f:
@@ -59,6 +49,4 @@ def read_audio(path: str | Path) -> AudioSamples:
             f"audio payload is {len(payload)} bytes, header implies {expected}"
         )
     interleaved = np.frombuffer(payload, dtype="<f4").reshape(frames, channels)
-    audio = AudioSamples(rate, [interleaved[:, c].astype(np.float64) for c in range(channels)])
-    audio.validate()
-    return audio
+    return AudioSamples(rate, [interleaved[:, c].astype(np.float64) for c in range(channels)])

@@ -96,10 +96,9 @@ def normalize_origin(raw: str) -> str:
 
 @dataclass(frozen=True)
 class FarbleSeed:
-    """Per-(session, origin, domain) seed; 32 bytes plus its domain tag."""
+    """Per-(session, origin, domain) seed: 32 bytes, the tag already hashed in."""
 
     value: bytes
-    domain_tag: str
 
     def __post_init__(self):
         if not isinstance(self.value, bytes) or len(self.value) != SEED_LEN:
@@ -132,12 +131,12 @@ def derive_seed(session: SessionKey, origin: Origin, tag: str) -> FarbleSeed:
     digest = hashlib.sha256(
         session.value + b"\x00" + origin.value.encode("utf-8") + b"\x00" + tag_bytes
     ).digest()
-    return FarbleSeed(digest, tag)
+    return FarbleSeed(digest)
 
 
 def subseed(seed: FarbleSeed, label: bytes) -> FarbleSeed:
     """Chain a child seed off an existing one for an internal sub-purpose."""
-    return FarbleSeed(hashlib.sha256(seed.value + label).digest(), seed.domain_tag)
+    return FarbleSeed(hashlib.sha256(seed.value + label).digest())
 
 
 def keystream_block(seed: FarbleSeed, index: int) -> bytes:

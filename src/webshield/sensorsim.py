@@ -87,7 +87,12 @@ class SineBank:
     def value(self, t_s: float) -> float:
         sin = math.sin
         w = 2.0 * math.pi * t_s
-        return sum(a * sin(w / p + ph) for a, p, ph in self.terms)
+        # An explicit left-to-right sum: sum() of floats is compensated
+        # from Python 3.12 on, which would change the values.
+        total = 0.0
+        for a, p, ph in self.terms:
+            total += a * sin(w / p + ph)
+        return total
 
 
 @dataclass(frozen=True)

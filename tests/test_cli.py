@@ -847,6 +847,7 @@ class TestNbsCli:
 
     @pytest.mark.parametrize("target,message", [
         (":80", "empty host"), ("[]:80", "empty host"), ("[::1", "malformed IPv6 authority"),
+        ("a::b..c", "malformed IP address"),
     ])
     def test_check_malformed_authority_is_domain_error(self, runner, target, message):
         result = runner.invoke(main, ["nbs", "check", "--target", target, "--mode", "learn"])

@@ -116,9 +116,10 @@ class TestFarbleBitmap:
         with pytest.raises(ValueError):
             farble_bitmap(SEED_A, BitmapBuffer(2, 2, b"\x00" * 15))
 
-    def test_empty_bitmap_passes_through(self):
-        out = farble_bitmap(SEED_A, BitmapBuffer(0, 0, b""))
-        assert out.data == b""
+    @pytest.mark.parametrize("w,h", [(0, 0), (0, 5), (7, 0)])
+    def test_empty_bitmap_passes_through(self, w, h):
+        bmp = BitmapBuffer(w, h, b"")
+        assert farble_bitmap(SEED_A, bmp) == bmp
 
     @given(
         w=st.integers(min_value=1, max_value=12),
@@ -283,6 +284,35 @@ class TestDegradeGeolocation:
     def test_idempotent_and_in_range(self, lat, lon, precision):
         c = GeoCoordinate(lat, lon, 10.0)
         once = degrade_geolocation(GEO_SEED, c, precision)
-        once.validate()
+        assert -90.0 <= once.latitude <= 90.0 and -180.0 < once.longitude <= 180.0
         twice = degrade_geolocation(GEO_SEED, once, precision)
         assert (twice.latitude, twice.longitude) == (once.latitude, once.longitude)
+
+
+# ----------------------------------------------------------------------
+# payload types check themselves
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: BitmapBuffer(-1, 2, b""), "bitmap dimensions must be non-negative"),
+    (lambda: BitmapBuffer(2, 2, b"\x00" * 15), "bitmap data is 15 bytes, expected 16 for 2x2 RGBA"),
+    (lambda: AudioSamples(0, [[0.0]]), "sample rate must be positive"),
+    (lambda: AudioSamples(-8000, [[0.0]]), "sample rate must be positive"),
+    (lambda: AudioSamples(44100, [[0.0, 0.0], [0.0]]), "channel 1 length 1 != 2"),
+    (lambda: AudioSamples(44100, [[0.0, float("nan")]]), "channel 0 contains non-finite samples"),
+    (lambda: AudioSamples(44100, [[0.0], [float("-inf")]]), "channel 1 contains non-finite samples"),
+    (lambda: GeoCoordinate(91.0, 0.0, 1.0), "latitude out of range: 91.0"),
+    (lambda: GeoCoordinate(0.0, -180.0, 1.0), "longitude out of range: -180.0"),
+    (lambda: GeoCoordinate(0.0, 0.0, -1.0), "accuracy must be >= 0: -1.0"),
+])
+def test_invalid_payload_cannot_be_built(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("channels", [[], [[]], [np.zeros(0, np.float32)] * 2])
+def test_zero_size_audio_comes_back_as_float64_channels(channels):
+    out = farble_audio(SEED_A, AudioSamples(8000, channels))
+    assert out.sample_rate == 8000 and len(out.channels) == len(channels)
+    for ch in out.channels:
+        assert isinstance(ch, np.ndarray) and ch.dtype == np.float64 and ch.size == 0

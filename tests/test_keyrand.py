@@ -164,7 +164,7 @@ class TestKeystream:
 
     def test_seed_length_enforced(self):
         with pytest.raises(ValueError):
-            FarbleSeed(b"tiny", "x")
+            FarbleSeed(b"tiny")
 
     def test_read_past_the_block_counter_rejected(self, canvas_seed):
         end = 32 << 64  # first byte of block 2**64

@@ -17,6 +17,8 @@ from webshield.sensorsim import (
     SensorKind,
     init_device_state,
     rotate_world_to_device,
+    SineBank,
+    SineTerm,
     sample,
 )
 from webshield.timeshield import ShieldConfig, shield_timestamp, time_subseed
@@ -99,6 +101,12 @@ class TestSample:
             oracle = analytic_magnetometer(state, t_ms)
             for got, want in zip(reading.value, oracle):
                 assert abs(got - want) <= 1e-9
+
+    def test_sine_bank_sums_left_to_right(self):
+        # A compensated sum (sum() of floats from Python 3.12 on) gives 1.0.
+        up = math.pi / 2
+        bank = SineBank((SineTerm(1e16, 1.0, up), SineTerm(1.0, 1.0, up), SineTerm(-1e16, 1.0, up)))
+        assert bank.value(0.0) == 0.0
 
     def test_magnetometer_fluctuates_within_envelope(self, state):
         # 10 Hz for 600 s: magnitude stays near the baseline but moves
