@@ -34,6 +34,7 @@ GL_CHARSET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 "
 GL_MIN_LEN, GL_MAX_LEN = 8, 32
 
 DEVICE_ID_BYTES = 32  # 43 chars of unpadded base64url
+MAX_DEVICE_IDS = 1024  # larger counts are refused, not built
 
 METERS_PER_DEG_LAT = 111_320.0
 
@@ -192,6 +193,8 @@ def validate_device_count(count: int) -> None:
     """Raise ValueError unless ``spoof_device_ids`` accepts ``count``."""
     if count < 0:
         raise ValueError("count must be >= 0")
+    if count > MAX_DEVICE_IDS:
+        raise ValueError(f"count must be <= {MAX_DEVICE_IDS}")
 
 
 def spoof_device_ids(seed: FarbleSeed, count: int) -> list[str]:

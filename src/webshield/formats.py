@@ -42,6 +42,8 @@ def read_audio(path: str | Path) -> AudioSamples:
     if len(raw) < 12:
         raise ValueError(f"audio file too short: {path}")
     rate, channels, frames = struct.unpack_from("<III", raw)
+    if channels == 0 and frames != 0:
+        raise ValueError(f"audio header has {channels} channels but {frames} frames")
     payload = raw[12:]
     expected = 4 * channels * frames
     if len(payload) != expected:

@@ -6,11 +6,12 @@ per-axis fluctuation patterns, all derived from one seed so every
 consumer under the same origin and session observes the same device.
 
 A real resting magnetometer drifts noticeably, so each magnetic axis
-fluctuates as a bank of 20 to 30 sinusoids with distinct amplitudes,
-periods and phases.  The remaining sensors deviate only slightly from
-their stationary values and are modeled as bounded keyed noise around
+fluctuates as a bank of 20 to 30 sinusoids (``SINES_PER_AXIS``), each
+with its own amplitude, period and phase.  The remaining sensors deviate
+only slightly from their stationary values: bounded keyed noise around
 the attitude-consistent baselines (gravity rotated into the device
-frame, zero linear acceleration, zero angular velocity).
+frame, zero linear acceleration, zero angular velocity).  The device's
+bounds are module constants; every device shares them.
 
 Reading timestamps are context-relative and shielded, never exposing
 the absolute clock origin.
@@ -30,35 +31,24 @@ from .timeshield import ShieldConfig, shield_timestamp, time_subseed
 
 GRAVITY_MS2 = 9.80665
 
-
-@dataclass(frozen=True)
-class SensorModel:
-    """Tunable constants of the fake device, kept in one place.
-
-    The shapes below make traces visually plausible; the exact numbers
-    are calibration targets, not physical ground truth.
-    """
-
-    sines_min: int = 20
-    sines_max: int = 30
-    mag_amp_ut: tuple = (0.05, 0.5)
-    mag_period_s: tuple = (2.0, 600.0)
-    mag_field_ut: tuple = (25.0, 65.0)
-    gravity_noise_ms2: float = 0.01
-    linear_accel_max_ms2: float = 0.1
-    gyro_max_rad_s: float = 0.01
-    orientation_noise_deg: float = 0.1
-    ambient_step_lux: int = 50
-    ambient_steps: tuple = (2, 10)  # lit-room range: 100..500 lux
-
-
-MODEL = SensorModel()
+# Constants of the fake device.  The shapes make traces visually
+# plausible; the exact numbers are calibration targets, not physical
+# ground truth.
+SINES_PER_AXIS = (20, 30)
+MAG_AMP_UT = (0.05, 0.5)
+MAG_PERIOD_S = (2.0, 600.0)
+MAG_FIELD_UT = (25.0, 65.0)
+LINEAR_ACCEL_MAX_MS2 = 0.1
+GYRO_MAX_RAD_S = 0.01
+AMBIENT_STEP_LUX = 50
+AMBIENT_STEPS = (2, 10)  # lit-room range: 100..500 lux
 
 # Noise scale per reading, the same for every device.
-_GRAVITY_NOISE = MODEL.gravity_noise_ms2
-_LINEAR_NOISE = MODEL.linear_accel_max_ms2 / math.sqrt(3.0)
-_GYRO_NOISE = MODEL.gyro_max_rad_s / math.sqrt(3.0)
-_ORIENTATION_NOISE = math.radians(MODEL.orientation_noise_deg)
+_GRAVITY_NOISE = 0.01
+_LINEAR_NOISE = LINEAR_ACCEL_MAX_MS2 / math.sqrt(3.0)
+_GYRO_NOISE = GYRO_MAX_RAD_S / math.sqrt(3.0)
+_ORIENTATION_NOISE = math.radians(0.1)
+_NOISE_WORDS = struct.Struct("<4Q")
 
 
 class SensorKind(str, Enum):
@@ -146,8 +136,19 @@ def _unit_quaternion(draw: _Draw) -> tuple:
 
 
 def _normalize(q: tuple) -> tuple:
-    n = math.sqrt(sum(c * c for c in q))
+    # An explicit left-to-right sum, as in SineBank.value.
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     return tuple(c / n for c in q)
+
+
+def _direction(u_z: float, u_azimuth: float, length: float = 1.0) -> tuple:
+    """A vector of ``length`` pointing in the uniform direction that two
+    uniforms select."""
+    z = 2.0 * u_z - 1.0
+    azimuth = 2.0 * math.pi * u_azimuth
+    r = math.sqrt(max(0.0, 1.0 - z * z))
+    return (length * r * math.cos(azimuth), length * r * math.sin(azimuth), length * z)
 
 
 def _quat_mul(a: tuple, b: tuple) -> tuple:
@@ -185,35 +186,19 @@ def init_device_state(seed: FarbleSeed) -> DeviceState:
     draw = _Draw(seed)
     orientation = _unit_quaternion(draw)
 
-    z = 2.0 * draw.u01() - 1.0
-    azimuth = 2.0 * math.pi * draw.u01()
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    magnitude = draw.between(*MODEL.mag_field_ut)
-    baseline = (
-        magnitude * r * math.cos(azimuth),
-        magnitude * r * math.sin(azimuth),
-        magnitude * z,
-    )
-
-    ambient = float(
-        MODEL.ambient_step_lux * draw.integer(MODEL.ambient_steps[0], MODEL.ambient_steps[1])
-    )
+    baseline = _direction(draw.u01(), draw.u01(), draw.between(*MAG_FIELD_UT))
+    ambient = float(AMBIENT_STEP_LUX * draw.integer(*AMBIENT_STEPS))
 
     banks = []
     for _axis in range(3):
-        n_terms = draw.integer(MODEL.sines_min, MODEL.sines_max)
-        terms: list[SineTerm] = []
-        seen = set()
-        while len(terms) < n_terms:
-            term = SineTerm(
-                amplitude=draw.between(*MODEL.mag_amp_ut),
-                period_s=draw.between(*MODEL.mag_period_s),
+        terms = [
+            SineTerm(
+                amplitude=draw.between(*MAG_AMP_UT),
+                period_s=draw.between(*MAG_PERIOD_S),
                 phase=2.0 * math.pi * draw.u01(),
             )
-            if term in seen:  # same triple twice would collapse two sines
-                continue
-            seen.add(term)
-            terms.append(term)
+            for _ in range(draw.integer(*SINES_PER_AXIS))
+        ]
         banks.append(SineBank(tuple(terms)))
 
     return DeviceState(
@@ -227,41 +212,23 @@ def init_device_state(seed: FarbleSeed) -> DeviceState:
     )
 
 
-def _noise_uniforms(seed: FarbleSeed, label: str, t_ms: float, n: int) -> list[float]:
-    """Up to four keyed uniforms bound to (seed, label, t)."""
+def _noise_uniforms(seed: FarbleSeed, label: str, t_ms: float) -> tuple:
+    """Four keyed uniforms bound to (seed, label, t)."""
     digest = hashlib.sha256(
         seed.value + b"noise/" + label.encode("ascii") + struct.pack("<d", t_ms)
     ).digest()
-    out = []
-    for k in range(n):
-        u = struct.unpack_from("<Q", digest, 8 * k)[0]
-        out.append((u >> 11) * 2.0**-53)
-    return out
+    return tuple((u >> 11) * 2.0**-53 for u in _NOISE_WORDS.unpack(digest))
 
 
 def _noise_vec(state: DeviceState, label: str, t_ms: float, scale: float) -> tuple:
-    u = _noise_uniforms(state.seed, label, t_ms, 3)
+    u = _noise_uniforms(state.seed, label, t_ms)[:3]
     return tuple(scale * (2.0 * v - 1.0) for v in u)
 
 
-def _gravity_device(state: DeviceState, t_ms: float) -> tuple:
-    noise = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
-    return tuple(b + n for b, n in zip(state.gravity, noise))
-
-
-def _linear_device(state: DeviceState, t_ms: float) -> tuple:
-    return _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
-
-
 def _perturbed_orientation(state: DeviceState, label: str, t_ms: float) -> tuple:
-    ua, ub, uc, ud = _noise_uniforms(state.seed, label, t_ms, 4)
-    z = 2.0 * ua - 1.0
-    azimuth = 2.0 * math.pi * ub
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    axis = (r * math.cos(azimuth), r * math.sin(azimuth), z)
-    angle = ud * _ORIENTATION_NOISE
-    half = angle / 2.0
-    dq = (math.cos(half), *(math.sin(half) * c for c in axis))
+    ua, ub, _, ud = _noise_uniforms(state.seed, label, t_ms)
+    half = ud * _ORIENTATION_NOISE / 2.0
+    dq = (math.cos(half), *(math.sin(half) * c for c in _direction(ua, ub)))
     return _normalize(_quat_mul(dq, state.orientation))
 
 
@@ -291,24 +258,22 @@ def sample(
             base + bank.value(t_s)
             for base, bank in zip(state.mag_baseline, state.mag_banks)
         )
-    elif kind is SensorKind.GRAVITY:
-        value = _gravity_device(state, t_ms)
     elif kind is SensorKind.LINEAR_ACCELERATION:
-        value = _linear_device(state, t_ms)
-    elif kind is SensorKind.ACCELEROMETER:
-        g = _gravity_device(state, t_ms)
-        lin = _linear_device(state, t_ms)
-        value = tuple(a + b for a, b in zip(g, lin))
+        value = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
+    elif kind in (SensorKind.GRAVITY, SensorKind.ACCELEROMETER):
+        noise = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
+        value = tuple(b + n for b, n in zip(state.gravity, noise))
+        if kind is SensorKind.ACCELEROMETER:
+            linear = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
+            value = tuple(g + a for g, a in zip(value, linear))
     elif kind is SensorKind.GYROSCOPE:
         value = _noise_vec(state, "gyro", t_ms, _GYRO_NOISE)
     elif kind is SensorKind.ORIENTATION_ABS:
         value = _perturbed_orientation(state, "orient_abs", t_ms)
     elif kind is SensorKind.ORIENTATION_REL:
         value = _perturbed_orientation(state, "orient_rel", t_ms)
-    elif kind is SensorKind.AMBIENT_LIGHT:
+    else:  # SensorKind.AMBIENT_LIGHT
         value = state.ambient_lux
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown sensor kind: {kind!r}")
 
     timestamp = shield_timestamp(state.time_seed, t_ms, shield_cfg)
     return SensorReading(kind=kind, value=value, timestamp_ms=timestamp)

@@ -111,6 +111,7 @@ class TestProfileMatrix:
         (["farble", "geo", "--lat", "0", "--lon", "0", "--precision", "0"], "precision"),
         (["farble", "geo", "--lat", "0", "--lon", "0", "--precision", "nan"], "precision"),
         (["spoof", "devices", "--count", "-1"], "count must be >= 0"),
+        (["spoof", "devices", "--count", "1025"], "count must be <= 1024"),
     ])
     def test_bad_input_is_domain_error_in_every_profile(self, runner, profile, args, message):
         result = runner.invoke(
@@ -306,6 +307,20 @@ class TestFarbleAudioCli:
         )
         assert result.exit_code == 0
         assert all(s == 0.0 for s in read_audio(out).channels[0])
+
+    @pytest.mark.parametrize("profile", ["p1", "p2", "p3"])
+    def test_zero_channels_with_frames_is_domain_error(self, runner, tmp_path, profile):
+        src = tmp_path / "in.pcm"
+        src.write_bytes(struct.pack("<III", 8000, 0, 5))
+        out = tmp_path / "out.pcm"
+        result = runner.invoke(
+            main,
+            ["farble", "audio", "--in", str(src), "--out", str(out),
+             "--origin", ORIGIN, "--session", FIXED_SESSION, "--profile", profile],
+        )
+        assert result.exit_code == 1
+        assert "0 channels but 5 frames" in result.stderr
+        assert not out.exists()
 
 
 class TestFarbleGeo:

@@ -67,3 +67,17 @@ class TestAudioFormat:
         path.write_bytes(struct.pack("<III", 8000, 1, 4) + b"\x00" * 8)
         with pytest.raises(ValueError):
             read_audio(path)
+
+    def test_zero_channels_with_frames_rejected(self, tmp_path):
+        # AudioSamples with no channels has no frame count to keep, so the
+        # header's 5 frames would silently become 0 on the way out.
+        path = tmp_path / "empty.pcm"
+        path.write_bytes(struct.pack("<III", 8000, 0, 5))
+        with pytest.raises(ValueError, match="0 channels but 5 frames"):
+            read_audio(path)
+
+    def test_zero_channels_zero_frames_round_trip(self, tmp_path):
+        path = tmp_path / "empty.pcm"
+        path.write_bytes(struct.pack("<III", 8000, 0, 0))
+        write_audio(path, read_audio(path))
+        assert path.read_bytes() == struct.pack("<III", 8000, 0, 0)

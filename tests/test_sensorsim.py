@@ -5,6 +5,7 @@ from the state's bank parameters with numpy, independent of the sample
 loop.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,9 +13,16 @@ import pytest
 
 from webshield.keyrand import Origin, SessionKey, derive_seed
 from webshield.sensorsim import (
+    AMBIENT_STEP_LUX,
     GRAVITY_MS2,
-    MODEL,
+    GYRO_MAX_RAD_S,
+    LINEAR_ACCEL_MAX_MS2,
+    MAG_AMP_UT,
+    MAG_FIELD_UT,
+    MAG_PERIOD_S,
+    SINES_PER_AXIS,
     SensorKind,
+    _normalize,
     init_device_state,
     rotate_world_to_device,
     SineBank,
@@ -54,27 +62,27 @@ class TestInitDeviceState:
 
     def test_bank_sizes_in_range(self, state):
         for bank in state.mag_banks:
-            assert MODEL.sines_min <= len(bank.terms) <= MODEL.sines_max
+            assert SINES_PER_AXIS[0] <= len(bank.terms) <= SINES_PER_AXIS[1]
 
     def test_orientation_normalized(self, state):
         assert abs(math.sqrt(sum(c * c for c in state.orientation)) - 1.0) <= 1e-9
 
     def test_baseline_magnitude_plausible(self, state):
         magnitude = math.sqrt(sum(c * c for c in state.mag_baseline))
-        assert MODEL.mag_field_ut[0] <= magnitude <= MODEL.mag_field_ut[1]
+        assert MAG_FIELD_UT[0] <= magnitude <= MAG_FIELD_UT[1]
 
     def test_term_parameters_in_range(self, state):
         for bank in state.mag_banks:
             triples = set()
             for term in bank.terms:
-                assert MODEL.mag_amp_ut[0] <= term.amplitude <= MODEL.mag_amp_ut[1]
-                assert MODEL.mag_period_s[0] <= term.period_s <= MODEL.mag_period_s[1]
+                assert MAG_AMP_UT[0] <= term.amplitude <= MAG_AMP_UT[1]
+                assert MAG_PERIOD_S[0] <= term.period_s <= MAG_PERIOD_S[1]
                 assert 0.0 <= term.phase < 2 * math.pi
                 triples.add((term.amplitude, term.period_s, term.phase))
             assert len(triples) == len(bank.terms)
 
     def test_ambient_light_lit_room_quantized(self, state):
-        assert state.ambient_lux % MODEL.ambient_step_lux == 0
+        assert state.ambient_lux % AMBIENT_STEP_LUX == 0
         assert 100.0 <= state.ambient_lux <= 500.0
 
 
@@ -108,6 +116,17 @@ class TestSample:
         bank = SineBank((SineTerm(1e16, 1.0, up), SineTerm(1.0, 1.0, up), SineTerm(-1e16, 1.0, up)))
         assert bank.value(0.0) == 0.0
 
+    def test_normalize_sums_squares_left_to_right(self):
+        # Found in a seeded random set: a compensated sum of the squares
+        # (math.fsum, or sum() of floats from Python 3.12 on) rounds the
+        # norm one ulp lower and changes the normalized components.
+        q = (0.6888437030500962, 0.515908805880605, -0.15885683833831, -0.4821664994140733)
+        w, x, y, z = q
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        compensated = math.sqrt(math.fsum(c * c for c in q))
+        assert norm != compensated
+        assert _normalize(q) == tuple(c / norm for c in q)
+
     def test_magnetometer_fluctuates_within_envelope(self, state):
         # 10 Hz for 600 s: magnitude stays near the baseline but moves
         base_mag = math.sqrt(sum(c * c for c in state.mag_baseline))
@@ -128,12 +147,12 @@ class TestSample:
     def test_linear_acceleration_bounded(self, state):
         for t_ms in np.linspace(0, 60_000, 200):
             v = sample(state, SensorKind.LINEAR_ACCELERATION, float(t_ms)).value
-            assert math.sqrt(sum(c * c for c in v)) <= MODEL.linear_accel_max_ms2
+            assert math.sqrt(sum(c * c for c in v)) <= LINEAR_ACCEL_MAX_MS2
 
     def test_gyroscope_bounded(self, state):
         for t_ms in np.linspace(0, 60_000, 200):
             v = sample(state, SensorKind.GYROSCOPE, float(t_ms)).value
-            assert math.sqrt(sum(c * c for c in v)) <= MODEL.gyro_max_rad_s
+            assert math.sqrt(sum(c * c for c in v)) <= GYRO_MAX_RAD_S
 
     def test_accelerometer_is_gravity_plus_linear(self, state):
         for t_ms in [0.0, 250.0, 1234.5, 80_000.0]:
@@ -197,3 +216,19 @@ class TestTimestamps:
     def test_timestamp_within_quantum(self, state):
         reading = sample(state, SensorKind.GRAVITY, 777.0)
         assert abs(reading.timestamp_ms - 777.0) < 10.0
+
+
+class TestGolden:
+    # Pins the bytes of the state and of every kind's readings and
+    # timestamps; any change to one of them changes the digest.
+    ALL_KINDS_SHA256 = "1dc19c0b32256b774b552384b299307665639f7a4e7af042d7f1ba893d168042"
+
+    def test_state_and_every_kind_pinned(self):
+        state = init_device_state(SEED)
+        digest = hashlib.sha256(repr(state).encode())
+        for shield_cfg in (None, ShieldConfig(quantum_ms=5.0, randomize=False)):
+            for kind in SensorKind:
+                for i in range(50):
+                    reading = sample(state, kind, i * 37.5, shield_cfg)
+                    digest.update(repr((kind.value, reading.value, reading.timestamp_ms)).encode())
+        assert digest.hexdigest() == self.ALL_KINDS_SHA256
