@@ -361,7 +361,7 @@ def nbs_check(origin_class, target, resolved, mode):
         host, port = target, 0
     else:
         host, port = split_authority(target, 0)
-    if resolved is not None:
+    if resolved is not None or mode is NbsMode.LEARN_ON_REPLY:  # learn mode never connects
         decision = decide(mode, origin, host, resolved, LearnCache())
     else:
         try:
@@ -386,17 +386,13 @@ def nbs_proxy(listen, mode, origin_class, log_path):
     from .proxy import ProxyConfig, run_proxy  # here, so other commands skip http.server
 
     host, _, port_text = listen.rpartition(":")
-    try:
-        port = int(port_text)
-        if not 0 <= port <= 65535:
-            raise ValueError
-    except ValueError:
+    if not (port_text.isascii() and port_text.isdigit() and int(port_text) < 65536):
         raise click.BadParameter(f"invalid listen address: {listen!r}")
     if host.startswith("[") and host.endswith("]"):
         host = host[1:-1]  # bracketed IPv6
     config = ProxyConfig(
         listen_host=host or "127.0.0.1",
-        listen_port=port,
+        listen_port=int(port_text),
         mode=NbsMode(mode),
         origin_class=AddressClass(origin_class),
         log_path=log_path,

@@ -18,8 +18,10 @@ Two operating modes mirror what a deployment can know before sending:
 * pre-resolve: the resolver is consulted first and a crossing request is
   refused before a single byte leaves.
 * learn-on-reply: the first request to an unknown hostname goes through,
-  the peer address is recorded from the reply, and every later request
-  to that hostname is decided from the cache.
+  the class of the address it connects to is learned, and every later
+  request to that hostname is decided from the cache.  ``gate`` resolves
+  before connecting, so a known hostname that now resolves elsewhere (a
+  DNS rebind) is decided on the new class before any packet goes out.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def crosses_boundary(src: AddressClass, dst: AddressClass) -> bool:
 
 
 class LearnCache:
-    """Hostname -> learned address class, recorded from reply peers.
+    """Hostname -> learned address class, recorded from connect targets.
 
     Concurrent readers are fine; writes are serialized and the last
     observation for a hostname wins.  Lookups never mutate.
@@ -141,21 +143,18 @@ class LearnCache:
         self._entries: dict = {}
         self._lock = threading.Lock()
 
-    def learn(self, hostname: str, cls: AddressClass) -> None:
+    def learn(self, hostname: str, cls: AddressClass) -> AddressClass | None:
+        """Record ``cls``; return the class it replaced, None if new."""
         with self._lock:
+            replaced = self._entries.get(hostname.lower())
             self._entries[hostname.lower()] = cls
+            return replaced
 
     def lookup(self, hostname: str) -> AddressClass | None:
         return self._entries.get(hostname.lower())
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def observe_reply(cache: LearnCache, hostname: str, ip) -> LearnCache:
-    """Record the peer address class observed in a reply."""
-    cache.learn(hostname, classify_address(ip))
-    return cache
 
 
 def split_authority(authority: str, default_port: int) -> tuple[str, int]:
@@ -258,23 +257,36 @@ def gate(
 ) -> tuple[BoundaryDecision, tuple | None]:
     """Decide a request to ``host:port`` and name the address to connect to.
 
-    Pre-resolve consults the resolver (IPv4 first) and decides every
-    address it returns: one crossing address blocks the request, else the
-    first address's decision stands and that address is the one to
-    connect to.  Learn-on-reply decides by literal or cache and connects
-    by name.  A blocked request gets no address.  Raises OSError when
-    the resolver fails.
+    Both modes consult the resolver (IPv4 first) and connect to the first
+    address it returns.  Pre-resolve decides every address: one crossing
+    address blocks the request, else the first address's decision
+    stands.  Learn-on-reply decides by literal or cache, blocking before
+    any lookup, then learns the first address's class when it differs
+    from the one decided on.  It decides again when the host was known
+    (a rebind) or when another request learned it first, so each
+    hostname gets exactly one learning request.  A blocked request gets
+    no address.  Raises OSError when the resolver fails.
     """
-    if mode is NbsMode.LEARN_ON_REPLY:
+    learning = mode is NbsMode.LEARN_ON_REPLY
+    if learning:
         decision = decide(mode, origin_class, host, None, cache)
-        return decision, None if decision.value is Decision.BLOCK else (host, port)
+        if decision.value is Decision.BLOCK:
+            return decision, None
     infos = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
     # prefer IPv4 so loopback targets resolve to 127.0.0.1 deterministically
     infos.sort(key=lambda info: info[0] != socket.AF_INET)
-    first = None
-    for info in infos:
-        decision = decide(mode, origin_class, host, info[4][0])
-        if decision.value is Decision.BLOCK:
-            return decision, None
-        first = first or decision
-    return first, infos[0][4][:2]
+    address = infos[0][4][:2]
+    if not learning:
+        first = None
+        for info in infos:
+            decision = decide(mode, origin_class, host, info[4][0])
+            if decision.value is Decision.BLOCK:
+                return decision, None
+            first = first or decision
+        return first, address
+    peer = classify_address(address[0])
+    if peer is not decision.target:
+        replaced = cache.learn(host, peer)
+        if decision.target is not None or replaced is not None:
+            decision = decide(mode, origin_class, host, None, cache)
+    return decision, None if decision.value is Decision.BLOCK else address

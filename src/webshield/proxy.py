@@ -1,12 +1,12 @@
 """Filtering HTTP forward proxy enforcing network boundary decisions.
 
-Each request (plain HTTP or CONNECT tunnel) is decided before any
-upstream traffic: in pre-resolve mode the target is resolved first and a
-crossing request is answered 403 without a single byte reaching the
-target; in learn-on-reply mode unknown hostnames pass once, and the peer
-of every connection is classified before a request byte is sent, so a
-known hostname whose peer crosses is blocked.  Replies are relayed as
-sent, byte for byte, until the target closes.
+Each request (plain HTTP or CONNECT tunnel) is decided by ``nbs.gate``
+before any upstream traffic, and the proxy connects only to the address
+the gate names: a crossing request is answered 403 without a single
+packet reaching the target.  In learn-on-reply mode unknown hostnames
+pass once, and a known hostname that now resolves across the boundary
+is blocked.  Replies are relayed as sent, byte for byte, until the
+target closes.
 
 Decisions stream to a JSONL log.  Repeated blocks of the same target
 within a short window coalesce into one line carrying a count, so a
@@ -27,16 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .nbs import (
-    AddressClass,
-    Decision,
-    LearnCache,
-    NbsMode,
-    classify_address,
-    decide,
-    gate,
-    split_authority,
-)
+from .nbs import AddressClass, Decision, LearnCache, NbsMode, gate, split_authority
 
 BLOCK_REASON_HEADER = "X-Boundary-Block-Reason"
 COALESCE_WINDOW_S = 10.0
@@ -150,8 +141,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     def _open_upstream(self, host: str, port: int) -> socket.socket | None:
         """Gate, log and connect: the only way the proxy reaches a target.
 
-        Returns the socket, or None once a reply has been sent.  In learn
-        mode the peer is classified before any request byte is sent.
+        Returns the socket, or None once a reply has been sent.
         """
         server, config = self.server, self.server.config
         try:
@@ -164,25 +154,11 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             self._deny(host, cls, decision.reason)
             return None
         server.log.log(host, cls, decision.value.value, decision.reason)
-        upstream = None
         try:
-            upstream = socket.create_connection(address, timeout=UPSTREAM_TIMEOUT_S)
-            learning = config.mode is NbsMode.LEARN_ON_REPLY
-            peer = classify_address(upstream.getpeername()[0]) if learning else decision.target
+            return socket.create_connection(address, timeout=UPSTREAM_TIMEOUT_S)
         except OSError as exc:
-            if upstream is not None:
-                upstream.close()
             self._bad_gateway(f"upstream connection failed: {exc}")
             return None
-        if peer is not decision.target:  # a first contact, or a known host that rebound
-            server.cache.learn(host, peer)
-            if decision.target is not None:
-                decision = decide(config.mode, config.origin_class, host, None, server.cache)
-                if decision.value is Decision.BLOCK:
-                    upstream.close()
-                    self._deny(host, peer.value, decision.reason)
-                    return None
-        return upstream
 
     # ------------------------------------------------------------------
     # plain HTTP forwarding
@@ -200,6 +176,9 @@ class _ProxyHandler(BaseHTTPRequestHandler):
                 raise ValueError(f"bad Content-Length: {length_text!r}")
         except ValueError as exc:
             self._reply(400, str(exc))
+            return
+        if "Transfer-Encoding" in self.headers:  # only Content-Length bodies are forwarded
+            self._reply(411, "Transfer-Encoding is not supported; send a Content-Length")
             return
         length = int(length_text)
         if length > MAX_BODY_BYTES:

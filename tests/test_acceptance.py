@@ -38,7 +38,6 @@ from webshield.nbs import (
     classify_address,
     crosses_boundary,
     decide,
-    observe_reply,
 )
 from webshield.sensorsim import (
     GRAVITY_MS2,
@@ -328,7 +327,7 @@ def test_criterion_6_nbs_classifier_and_lattice():
             assert decide(NbsMode.PRE_RESOLVE, src, "h.example", ip).value is expected
             assert decide(NbsMode.LEARN_ON_REPLY, src, ip, None, LearnCache()).value is expected
             cache = LearnCache()
-            observe_reply(cache, "h.example", ip)
+            cache.learn("h.example", classify_address(ip))
             assert decide(NbsMode.LEARN_ON_REPLY, src, "h.example", None, cache).value is expected
         assert (
             decide(NbsMode.LEARN_ON_REPLY, src, "h.example", None, LearnCache()).value

@@ -876,7 +876,10 @@ class TestNbsCli:
         assert_clean_exit(result, 1, "not a valid DNS name")
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:65536"])
+    @pytest.mark.parametrize("listen", [
+        "127.0.0.1:99999", "127.0.0.1:-1", "127.0.0.1:65536",
+        "127.0.0.1:0_0", "127.0.0.1: 0", "127.0.0.1:+0", "127.0.0.1:\u0660",
+    ])
     def test_proxy_listen_port_out_of_range_is_usage_error(self, runner, listen):
         result = runner.invoke(main, ["nbs", "proxy", "--listen", listen])
         assert_clean_exit(result, 2, f"invalid listen address: {listen!r}")

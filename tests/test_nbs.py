@@ -7,6 +7,7 @@ independently written rank table.
 
 import ipaddress
 import socket
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,6 @@ from webshield.nbs import (
     crosses_boundary,
     decide,
     gate,
-    observe_reply,
     parse_ip,
     split_authority,
 )
@@ -164,18 +164,23 @@ class TestLearnCache:
 
     def test_learn_and_lookup(self):
         cache = LearnCache()
-        observe_reply(cache, "printer.example", "192.168.1.5")
+        cache.learn("printer.example", classify_address("192.168.1.5"))
         assert cache.lookup("printer.example") is AddressClass.PRIVATE
 
     def test_last_write_wins(self):
         cache = LearnCache()
-        observe_reply(cache, "rebind.example", "93.184.216.34")
-        observe_reply(cache, "rebind.example", "127.0.0.1")
+        cache.learn("rebind.example", classify_address("93.184.216.34"))
+        cache.learn("rebind.example", classify_address("127.0.0.1"))
         assert cache.lookup("rebind.example") is AddressClass.LOOPBACK
+
+    def test_learn_returns_the_class_it_replaced(self):
+        cache = LearnCache()
+        assert cache.learn("Site.Example", AddressClass.PUBLIC) is None
+        assert cache.learn("site.example", AddressClass.LOOPBACK) is AddressClass.PUBLIC
 
     def test_hostname_case_insensitive(self):
         cache = LearnCache()
-        observe_reply(cache, "CamelCase.Example", "10.0.0.1")
+        cache.learn("CamelCase.Example", classify_address("10.0.0.1"))
         assert cache.lookup("camelcase.example") is AddressClass.PRIVATE
 
     def test_lookup_never_mutates(self):
@@ -210,7 +215,7 @@ class TestDecide:
 
     def test_learn_cached_crossing_blocks(self):
         cache = LearnCache()
-        observe_reply(cache, "evil.example", "127.0.0.1")
+        cache.learn("evil.example", classify_address("127.0.0.1"))
         decision = decide(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "evil.example", None, cache)
         assert decision.value is Decision.BLOCK
         assert "loopback" in decision.reason
@@ -236,16 +241,16 @@ class TestDecide:
         cache = LearnCache()
         first = decide(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "spy.example", None, cache)
         assert first.value is Decision.ALLOW_AND_LEARN
-        observe_reply(cache, "spy.example", "93.184.216.34")
+        cache.learn("spy.example", classify_address("93.184.216.34"))
         second = decide(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "spy.example", None, cache)
         assert second.value is Decision.ALLOW
-        observe_reply(cache, "spy.example", "127.0.0.1")
+        cache.learn("spy.example", classify_address("127.0.0.1"))
         third = decide(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "spy.example", None, cache)
         assert third.value is Decision.BLOCK
 
     def test_unspecified_reason_names_dns_filtering(self):
         cache = LearnCache()
-        observe_reply(cache, "blocked.example", "0.0.0.0")
+        cache.learn("blocked.example", classify_address("0.0.0.0"))
         decision = decide(
             NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "blocked.example", None, cache
         )
@@ -262,7 +267,7 @@ class TestDecide:
 
     def test_purity(self):
         cache = LearnCache()
-        observe_reply(cache, "x.example", "10.0.0.1")
+        cache.learn("x.example", classify_address("10.0.0.1"))
         args = (NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "x.example", None, cache)
         assert decide(*args) == decide(*args)
 
@@ -279,7 +284,7 @@ class TestDecide:
                 assert got.value is expected, (src, dst, "literal")
                 # learn mode with a cache hit
                 cache = LearnCache()
-                observe_reply(cache, "host.example", ip)
+                cache.learn("host.example", classify_address(ip))
                 got = decide(NbsMode.LEARN_ON_REPLY, src, "host.example", None, cache)
                 assert got.value is expected, (src, dst, "cached")
             # learn mode with a cache miss is always allow-and-learn
@@ -290,7 +295,7 @@ class TestDecide:
         for src in AddressClass:
             for dst, ip in REPRESENTATIVE.items():
                 cache = LearnCache()
-                observe_reply(cache, "host.example", ip)
+                cache.learn("host.example", classify_address(ip))
                 for got in (
                     decide(NbsMode.PRE_RESOLVE, src, "host.example", ip),
                     decide(NbsMode.LEARN_ON_REPLY, src, ip, None, LearnCache()),
@@ -304,7 +309,7 @@ class TestDecide:
 
     def test_allow_reasons(self):
         cache = LearnCache()
-        observe_reply(cache, "site.example", "93.184.216.34")
+        cache.learn("site.example", classify_address("93.184.216.34"))
         assert decide(
             NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, "site.example", "93.184.216.34"
         ).reason == "public -> public: no crossing"
@@ -416,18 +421,63 @@ class TestGate:
             gate(NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, "no-such-host.invalid", 80,
                  LearnCache())
 
-    def test_learn_mode_connects_by_name_without_resolving(self, monkeypatch):
-        def no_resolver(*args, **kwargs):
-            raise AssertionError("learn mode must not pre-resolve")
-
-        monkeypatch.setattr(socket, "getaddrinfo", no_resolver)
+    def test_learn_mode_connects_to_the_resolved_address_and_learns_it(self, monkeypatch):
+        infos = [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", 443))]
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *a, **k: list(infos))
         cache = LearnCache()
         first, address = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "new.example",
                               443, cache)
         assert first.value is Decision.ALLOW_AND_LEARN
-        assert address == ("new.example", 443)
-        observe_reply(cache, "new.example", "127.0.0.1")
+        assert address == ("127.0.0.1", 443)
+        assert cache.lookup("new.example") is AddressClass.LOOPBACK
         blocked, address = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "new.example",
                                 443, cache)
         assert blocked.value is Decision.BLOCK
         assert address is None
+
+    def test_learn_mode_block_needs_no_resolver(self, monkeypatch):
+        def no_resolver(*args, **kwargs):
+            raise AssertionError("a cached block must not resolve")
+
+        monkeypatch.setattr(socket, "getaddrinfo", no_resolver)
+        cache = LearnCache()
+        cache.learn("evil.example", AddressClass.LOOPBACK)
+        for host in ("evil.example", "127.0.0.1"):
+            decision, address = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, host, 80,
+                                     cache)
+            assert (decision.value, address) == (Decision.BLOCK, None)
+
+    def test_learn_mode_rebind_decided_on_the_new_address(self, monkeypatch):
+        infos = [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("10.0.0.7", 80))]
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *a, **k: list(infos))
+        cache = LearnCache()
+        cache.learn("spy.example", AddressClass.PUBLIC)
+        decision, address = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "spy.example",
+                                 80, cache)
+        assert decision.value is Decision.BLOCK
+        assert decision.target is AddressClass.PRIVATE
+        assert address is None
+        assert cache.lookup("spy.example") is AddressClass.PRIVATE
+
+    def test_concurrent_first_contacts_learn_once(self, monkeypatch):
+        barrier = threading.Barrier(4, timeout=2)
+
+        def resolver(host, port, *args, **kwargs):  # every lookup waits for all four
+            barrier.wait()
+            return [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", port))]
+
+        monkeypatch.setattr(socket, "getaddrinfo", resolver)
+        cache = LearnCache()
+        decisions = []
+
+        def contact():
+            decision, _ = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "race.example",
+                               80, cache)
+            decisions.append(decision.value.value)
+
+        threads = [threading.Thread(target=contact) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert sorted(decisions) == ["AllowAndLearn"] + ["Block"] * 3

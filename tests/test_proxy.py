@@ -290,6 +290,7 @@ class TestLearnOnReplyMode:
         finally:
             proxy.stop()
         assert target.received == b""
+        assert target.connections == 0
         last = json.loads(log.read_text().splitlines()[-1])
         assert (last["host"], last["class"], last["decision"]) == (
             "rebind.example", "loopback", "Block"
@@ -336,10 +337,12 @@ class TestMalformedRequests:
         ("GET http://:{port}/ HTTP/1.1\r\n\r\n", 400),
         ("CONNECT :{port} HTTP/1.1\r\n\r\n", 400),
         ("CONNECT [::1 HTTP/1.1\r\n\r\n", 400),
+        ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         "5\r\nhello\r\n0\r\n\r\n", 411),
     ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
             "connect-port-abc", "connect-port-99999", "connect-bare-v6", "length-zz",
             "length-negative", "length-huge", "path-control-char", "empty-v6-host",
-            "empty-host", "connect-empty-host", "connect-unclosed-bracket"])
+            "empty-host", "connect-empty-host", "connect-unclosed-bracket", "chunked-body"])
     def test_bad_request_answered_4xx_and_proxy_keeps_serving(
         self, stub, tmp_path, head, expected
     ):
