@@ -37,7 +37,7 @@ from .fpd import (
 from .keyrand import Origin, SessionKey, derive_seed, new_session_key
 from .nbs import AddressClass, LearnCache, NbsMode, decide, gate, parse_ip, split_authority
 from .profiles import PROFILES, TABLE_SCHEMA_VERSION, protect
-from .sensorsim import SensorKind, init_device_state, sample
+from .sensorsim import SensorKind, init_device_state, sample_many
 from .timeshield import DEFAULT_QUANTUM_MS, ShieldConfig, shield_stream
 
 VERSION_TEXT = (
@@ -246,7 +246,6 @@ def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
     state = init_device_state(derive_seed(session, origin, "sensor"))
     shield_cfg = ShieldConfig(quantum_ms=quantum)
     kind = SensorKind(kind)
-    n = int(rate * duration)
     if fmt == "csv":
         if kind in (SensorKind.ORIENTATION_ABS, SensorKind.ORIENTATION_REL):
             click.echo("t_ms,qw,qx,qy,qz")
@@ -254,11 +253,10 @@ def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
             click.echo("t_ms,value")
         else:
             click.echo("t_ms,x,y,z")
+    times = (i * 1000.0 / rate for i in range(int(rate * duration)))
     write = sys.stdout.write
     try:
-        for i in range(n):
-            t_ms = i * 1000.0 / rate
-            reading = sample(state, kind, t_ms, shield_cfg)
+        for reading in sample_many(state, kind, times, shield_cfg):
             value = reading.value
             if fmt == "jsonl":
                 payload = list(value) if isinstance(value, tuple) else value

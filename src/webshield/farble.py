@@ -35,6 +35,9 @@ GL_MIN_LEN, GL_MAX_LEN = 8, 32
 
 DEVICE_ID_BYTES = 32  # 43 chars of unpadded base64url
 MAX_DEVICE_IDS = 1024  # larger counts are refused, not built
+# Finer geolocation grids are refused: below about 1e-300 m the grid cell
+# underflows and the coordinate over it overflows the float range.
+MIN_PRECISION_M = 0.001
 
 METERS_PER_DEG_LAT = 111_320.0
 
@@ -209,8 +212,8 @@ def spoof_device_ids(seed: FarbleSeed, count: int) -> list[str]:
 
 def validate_geo_request(precision_m: float) -> None:
     """Raise ValueError unless ``degrade_geolocation`` accepts this precision."""
-    if not (math.isfinite(precision_m) and precision_m > 0):
-        raise ValueError("precision must be a positive number of meters")
+    if not (math.isfinite(precision_m) and precision_m >= MIN_PRECISION_M):
+        raise ValueError(f"precision must be a finite number of meters >= {MIN_PRECISION_M}")
 
 
 def degrade_geolocation(

@@ -132,11 +132,17 @@ def crosses_boundary(src: AddressClass, dst: AddressClass) -> bool:
     return _RANK[src] > _RANK[dst]
 
 
+# LearnCache holds at most this many hostnames; learning one more forgets
+# the host learned first, which becomes a first contact again.
+MAX_LEARNED_HOSTS = 65536
+
+
 class LearnCache:
     """Hostname -> learned address class, recorded from connect targets.
 
     Concurrent readers are fine; writes are serialized and the last
-    observation for a hostname wins.  Lookups never mutate.
+    observation for a hostname wins.  Lookups never mutate.  Past
+    ``MAX_LEARNED_HOSTS`` the oldest hostname is evicted first.
     """
 
     def __init__(self):
@@ -145,9 +151,12 @@ class LearnCache:
 
     def learn(self, hostname: str, cls: AddressClass) -> AddressClass | None:
         """Record ``cls``; return the class it replaced, None if new."""
+        key = hostname.lower()
         with self._lock:
-            replaced = self._entries.get(hostname.lower())
-            self._entries[hostname.lower()] = cls
+            replaced = self._entries.get(key)
+            if replaced is None and len(self._entries) >= MAX_LEARNED_HOSTS:
+                del self._entries[next(iter(self._entries))]  # dicts keep learn order
+            self._entries[key] = cls
             return replaced
 
     def lookup(self, hostname: str) -> AddressClass | None:

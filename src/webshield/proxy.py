@@ -239,10 +239,16 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         self._pump(self.connection, upstream)
 
     def _pump(self, client: socket.socket, upstream: socket.socket) -> None:
-        upstream.settimeout(None)
-        client.settimeout(None)
         sockets = [client, upstream]
         try:
+            # Bytes the client sent right after the CONNECT head already sit
+            # in rfile's buffer; under a zero timeout peek returns them and
+            # does not wait for more.
+            client.settimeout(0)
+            pending = self.rfile.peek()
+            client.settimeout(None)
+            upstream.settimeout(None)
+            upstream.sendall(self.rfile.read(len(pending)))
             while True:
                 readable, _, _ = select.select(sockets, [], [], 30.0)
                 if not readable:

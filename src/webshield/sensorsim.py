@@ -14,7 +14,8 @@ frame, zero linear acceleration, zero angular velocity).  The device's
 bounds are module constants; every device shares them.
 
 Reading timestamps are context-relative and shielded, never exposing
-the absolute clock origin.
+the absolute clock origin.  ``sample`` reads one instant; ``sample_many``
+yields the same readings for a stream of instants in batches.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .keyrand import FarbleSeed, uniform01, uniform_range
-from .timeshield import ShieldConfig, shield_timestamp, time_subseed
+from .timeshield import ShieldConfig, shield_stream, shield_timestamp, time_subseed
 
 GRAVITY_MS2 = 9.80665
 
@@ -49,6 +51,9 @@ _LINEAR_NOISE = LINEAR_ACCEL_MAX_MS2 / math.sqrt(3.0)
 _GYRO_NOISE = GYRO_MAX_RAD_S / math.sqrt(3.0)
 _ORIENTATION_NOISE = math.radians(0.1)
 _NOISE_WORDS = struct.Struct("<4Q")
+
+# Readings per batch in sample_many: bounds the memory a long stream holds.
+SAMPLE_CHUNK = 1024
 
 
 class SensorKind(str, Enum):
@@ -232,6 +237,38 @@ def _perturbed_orientation(state: DeviceState, label: str, t_ms: float) -> tuple
     return _normalize(_quat_mul(dq, state.orientation))
 
 
+def _value(state: DeviceState, kind: SensorKind, t_ms: float):
+    if kind is SensorKind.MAGNETOMETER:
+        t_s = t_ms / 1000.0
+        return tuple(
+            base + bank.value(t_s)
+            for base, bank in zip(state.mag_baseline, state.mag_banks)
+        )
+    if kind is SensorKind.LINEAR_ACCELERATION:
+        return _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
+    if kind in (SensorKind.GRAVITY, SensorKind.ACCELEROMETER):
+        noise = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
+        value = tuple(b + n for b, n in zip(state.gravity, noise))
+        if kind is SensorKind.ACCELEROMETER:
+            linear = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
+            value = tuple(g + a for g, a in zip(value, linear))
+        return value
+    if kind is SensorKind.GYROSCOPE:
+        return _noise_vec(state, "gyro", t_ms, _GYRO_NOISE)
+    if kind is SensorKind.ORIENTATION_ABS:
+        return _perturbed_orientation(state, "orient_abs", t_ms)
+    if kind is SensorKind.ORIENTATION_REL:
+        return _perturbed_orientation(state, "orient_rel", t_ms)
+    return state.ambient_lux  # SensorKind.AMBIENT_LIGHT
+
+
+def _sensor_kind(kind: SensorKind | str) -> SensorKind:
+    try:
+        return SensorKind(kind)
+    except ValueError:
+        raise ValueError(f"unknown sensor kind: {kind!r}") from None
+
+
 def sample(
     state: DeviceState,
     kind: SensorKind | str,
@@ -245,35 +282,95 @@ def sample(
     the shielded context-relative time.
     """
     if not isinstance(kind, SensorKind):
-        try:
-            kind = SensorKind(kind)
-        except ValueError:
-            raise ValueError(f"unknown sensor kind: {kind!r}") from None
+        kind = _sensor_kind(kind)
     if not 0 <= t_ms < math.inf:
         raise ValueError(f"sample time must be finite and >= 0, got {t_ms}")
-
-    if kind is SensorKind.MAGNETOMETER:
-        t_s = t_ms / 1000.0
-        value = tuple(
-            base + bank.value(t_s)
-            for base, bank in zip(state.mag_baseline, state.mag_banks)
-        )
-    elif kind is SensorKind.LINEAR_ACCELERATION:
-        value = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
-    elif kind in (SensorKind.GRAVITY, SensorKind.ACCELEROMETER):
-        noise = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
-        value = tuple(b + n for b, n in zip(state.gravity, noise))
-        if kind is SensorKind.ACCELEROMETER:
-            linear = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
-            value = tuple(g + a for g, a in zip(value, linear))
-    elif kind is SensorKind.GYROSCOPE:
-        value = _noise_vec(state, "gyro", t_ms, _GYRO_NOISE)
-    elif kind is SensorKind.ORIENTATION_ABS:
-        value = _perturbed_orientation(state, "orient_abs", t_ms)
-    elif kind is SensorKind.ORIENTATION_REL:
-        value = _perturbed_orientation(state, "orient_rel", t_ms)
-    else:  # SensorKind.AMBIENT_LIGHT
-        value = state.ambient_lux
-
+    value = _value(state, kind, t_ms)
     timestamp = shield_timestamp(state.time_seed, t_ms, shield_cfg)
     return SensorReading(kind=kind, value=value, timestamp_ms=timestamp)
+
+
+def _sin_probe_args() -> list:
+    """4,352 fixed arguments from 0 to 1e15: LCG mantissas scaled by each
+    power of two from 2**-14 to 2**49, integer multiples of pi/2 (where
+    argument reduction is hardest), 0 and 1e15.  Built from exact
+    integer and power-of-two steps, so the set is the same everywhere."""
+    args, x = [0.0, 1e15], 1
+    for i in range(4096):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        args.append(math.ldexp(x >> 11, i % 64 - 67))
+    args += [k * (math.pi / 2) for k in range(1, 255)]
+    return args
+
+
+_batch_sin = None  # the vector sin of the magnetometer batches, chosen once
+
+
+def _math_sin(x):
+    import numpy as np
+
+    return np.fromiter(map(math.sin, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def _vector_sin():
+    """``np.sin`` if it gives ``math.sin``'s bits on the probe set, else
+    ``math.sin`` mapped over the vector: the bytes never depend on the
+    numpy build."""
+    global _batch_sin
+    if _batch_sin is None:
+        import numpy as np
+
+        probe = np.array(_sin_probe_args(), dtype=np.float64)
+        _batch_sin = (np.sin if np.sin(probe).tobytes() == _math_sin(probe).tobytes()
+                      else _math_sin)
+    return _batch_sin
+
+
+def _magnetometer_values(state: DeviceState, times: list) -> list:
+    """``_value``'s magnetometer readings at every time, one axis at a
+    time over a float64 vector: the same IEEE operations in the same
+    order as ``SineBank.value``, so the same floats."""
+    import numpy as np
+
+    sin = _vector_sin()
+    w = 2.0 * math.pi * (np.array(times, dtype=np.float64) / 1000.0)
+    axes = []
+    for base, bank in zip(state.mag_baseline, state.mag_banks):
+        total = np.zeros_like(w)
+        for a, p, ph in bank.terms:
+            total = total + a * sin(w / p + ph)
+        axes.append((base + total).tolist())
+    return list(zip(*axes))
+
+
+def sample_many(
+    state: DeviceState,
+    kind: SensorKind | str,
+    t_ms_seq: Iterable[float],
+    shield_cfg: ShieldConfig | None = None,
+) -> Iterator[SensorReading]:
+    """``sample`` at each time of ``t_ms_seq``, lazily and bit for bit.
+
+    Times are read and sampled ``SAMPLE_CHUNK`` at a time; a
+    magnetometer chunk is one vector computation.  A bad time or an
+    overflowing timestamp raises ``sample``'s error once the readings
+    before it have been yielded.
+    """
+    if not isinstance(kind, SensorKind):
+        kind = _sensor_kind(kind)
+    times = iter(t_ms_seq)
+    inf = math.inf
+    while chunk := list(islice(times, SAMPLE_CHUNK)):
+        n = 0  # chunk[:n] passes sample's time check
+        while n < len(chunk) and 0 <= chunk[n] < inf:
+            n += 1
+        good = chunk[:n]
+        if kind is SensorKind.MAGNETOMETER:
+            values = _magnetometer_values(state, good)
+        else:
+            values = [_value(state, kind, t) for t in good]
+        stamps = shield_stream(state.time_seed, good, shield_cfg)
+        for value, stamp in zip(values, stamps):
+            yield SensorReading(kind=kind, value=value, timestamp_ms=stamp)
+        if n < len(chunk):
+            sample(state, kind, chunk[n], shield_cfg)  # raises that time's error

@@ -1,13 +1,16 @@
 """The line-streaming commands, `time shield` and `sensors gen`: every
 output byte pinned, partial output before a bad line, a reader that goes
-away early, and hostile numeric options."""
+away early, and hostile numeric options; hostile numbers and text for
+`farble geo` and `nbs check` too."""
 
 import hashlib
 import math
 import os
 import random
+import socket
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -102,6 +105,19 @@ class TestPartialOutput:
         assert process.returncode == 1
         assert output == "5.408292027151002\n" * 2 + f"Error: {message}\n"
 
+    def test_sensor_rows_before_an_overflowing_timestamp_come_out_before_the_error(self):
+        """The second reading's bucket index overflows: the header and the
+        first row still come out, in order, before the error."""
+        process = webshield(["sensors", "gen", "--sensor", "magnetometer", "--rate", "1",
+                             "--duration", "3", "--quantum", "5e-324"],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT)
+        output, _ = process.communicate(timeout=60)
+        assert process.returncode == 1
+        assert output == (
+            "t_ms,x,y,z\n0.000000,2.00496108,30.2542311,13.8906842\n"
+            "Error: timestamp 1000.0 over quantum 5e-324 overflows the bucket index\n")
+
 
 class TestClosedReader:
     @pytest.mark.parametrize("args, n_lines", [
@@ -156,4 +172,36 @@ class TestHostileNumbers:
         flags = [] if randomize else ["--no-randomize"]
         result = CliRunner().invoke(main, ["time", "shield", f"--quantum={quantum!r}",
                                            *flags, *KEYS], input="0\n5\n1e6\n")
+        assert_clean(result)
+
+    @given(lat=ANY_FLOAT, lon=ANY_FLOAT, accuracy=ANY_FLOAT, precision=ANY_FLOAT,
+           profile=st.sampled_from(["p1", "p2", "p3"]))
+    @example(lat=0.0, lon=0.0, accuracy=0.0, precision=5e-324, profile="p1")  # cell of 0 degrees
+    @settings(max_examples=100, deadline=None)
+    def test_farble_geo_numbers(self, lat, lon, accuracy, precision, profile):
+        result = CliRunner().invoke(main, [
+            "farble", "geo", f"--lat={lat!r}", f"--lon={lon!r}", f"--accuracy={accuracy!r}",
+            f"--precision={precision!r}", f"--profile={profile}", *KEYS])
+        assert_clean(result)
+
+
+def fake_getaddrinfo(host, port, *args, **kwargs):
+    """A resolver that never leaves the process: odd-length names fail."""
+    if len(host) % 2:
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+    return [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", port))]
+
+
+class TestHostileText:
+    @given(target=st.text(max_size=40) | st.from_regex(r"\[?[0-9a-f:.]{0,20}\]?(:[0-9]{0,6})?"),
+           resolved=st.none() | st.text(max_size=20) | st.sampled_from(["127.0.0.1", "::1"]),
+           mode=st.sampled_from(["preresolve", "learn"]))
+    @example(target="a::b..c", resolved=None, mode="preresolve")  # skipped the parser
+    @settings(max_examples=100, deadline=None)
+    def test_nbs_check_target(self, target, resolved, mode):
+        args = ["nbs", "check", f"--target={target}", f"--mode={mode}"]
+        if resolved is not None:
+            args.append(f"--resolved={resolved}")
+        with mock.patch.object(socket, "getaddrinfo", fake_getaddrinfo):
+            result = CliRunner().invoke(main, args)
         assert_clean(result)

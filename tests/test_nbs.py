@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from webshield import nbs
 from webshield.nbs import (
     AddressClass,
     BoundaryDecision,
@@ -187,6 +188,18 @@ class TestLearnCache:
         cache = LearnCache()
         cache.lookup("ghost.example")
         assert len(cache) == 0
+
+    def test_oldest_host_evicted_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(nbs, "MAX_LEARNED_HOSTS", 2)
+        cache = LearnCache()
+        for host in ("first.example", "second.example", "third.example"):
+            cache.learn(host, AddressClass.LOOPBACK)
+        assert len(cache) == 2
+        assert cache.lookup("first.example") is None
+        first = decide(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "first.example", None, cache)
+        assert first.value is Decision.ALLOW_AND_LEARN  # a first contact again
+        assert cache.learn("third.example", AddressClass.PUBLIC) is AddressClass.LOOPBACK
+        assert cache.lookup("second.example") is AddressClass.LOOPBACK  # relearning evicts none
 
 
 class TestDecide:

@@ -177,6 +177,29 @@ class TestPreResolveMode:
         finally:
             proxy.stop()
 
+    def test_bytes_sent_with_the_connect_head_reach_the_target(self):
+        """A client may pipeline its first tunnel bytes (a TLS ClientHello)
+        behind the head; the proxy has read them into its buffer already."""
+        proxy = run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+        try:
+            with socket.create_server(("127.0.0.1", 0)) as target, \
+                    socket.create_connection(proxy.address, timeout=5) as client:
+                target.settimeout(5)
+                port = target.getsockname()[1]
+                client.sendall(f"CONNECT 127.0.0.1:{port} HTTP/1.1\r\n\r\nhello".encode())
+                upstream, _ = target.accept()
+                with upstream:
+                    upstream.settimeout(1)
+                    got = b""
+                    while len(got) < 5 and (chunk := upstream.recv(5 - len(got))):
+                        got += chunk
+                    assert got == b"hello"
+                    assert client.recv(65536).startswith(b"HTTP/1.1 200 ")
+        finally:
+            proxy.stop()
+
     def test_unresolvable_host_is_bad_gateway(self):
         proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
         try:

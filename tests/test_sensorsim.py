@@ -7,11 +7,15 @@ loop.
 
 import hashlib
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from webshield.keyrand import Origin, SessionKey, derive_seed
+from webshield import sensorsim
 from webshield.sensorsim import (
     AMBIENT_STEP_LUX,
     GRAVITY_MS2,
@@ -28,6 +32,7 @@ from webshield.sensorsim import (
     SineBank,
     SineTerm,
     sample,
+    sample_many,
 )
 from webshield.timeshield import ShieldConfig, shield_timestamp, time_subseed
 
@@ -232,3 +237,66 @@ class TestGolden:
                     reading = sample(state, kind, i * 37.5, shield_cfg)
                     digest.update(repr((kind.value, reading.value, reading.timestamp_ms)).encode())
         assert digest.hexdigest() == self.ALL_KINDS_SHA256
+
+
+# Times on both sides of bucket edges, out of order, repeated, as ints,
+# and up to 1e12 ms, where the sine arguments are large.
+BATCH_TIMES = [i * 37.5 for i in range(40)] + [
+    0, 7, 9.999999999999998, 10.0, 5.0, 5.0, 123.456, 1e-300, 5e-324,
+    3_600_000.0, 86_400_000.0 + 0.1, 1e9, 123_456_789_012.25, 1e12,
+]
+
+
+class TestSampleMany:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # chunk edges fall inside BATCH_TIMES
+        monkeypatch.setattr(sensorsim, "SAMPLE_CHUNK", 7)
+
+    @pytest.mark.parametrize("shield_cfg", [None, ShieldConfig(quantum_ms=5.0, randomize=False)])
+    @pytest.mark.parametrize("kind", list(SensorKind))
+    def test_equals_sample_bit_for_bit(self, state, kind, shield_cfg):
+        batch = list(sample_many(state, kind, BATCH_TIMES, shield_cfg))
+        scalar = [sample(state, kind, t, shield_cfg) for t in BATCH_TIMES]
+        assert [r.value for r in batch] == [r.value for r in scalar]
+        assert [r.timestamp_ms for r in batch] == [r.timestamp_ms for r in scalar]
+        assert batch == scalar
+
+    def test_math_sin_fallback_gives_the_same_bytes(self, state, monkeypatch):
+        monkeypatch.setattr(sensorsim, "_batch_sin", None)
+        monkeypatch.setattr(np, "sin", np.cos)  # the probe must reject it
+        batch = list(sample_many(state, SensorKind.MAGNETOMETER, BATCH_TIMES))
+        assert sensorsim._batch_sin is sensorsim._math_sin
+        assert batch == [sample(state, SensorKind.MAGNETOMETER, t) for t in BATCH_TIMES]
+
+    @pytest.mark.parametrize("bad, error", [
+        (math.nan, "sample time must be finite and >= 0, got nan"),
+        (-1.0, "sample time must be finite and >= 0, got -1.0"),
+        (math.inf, "sample time must be finite and >= 0, got inf"),
+    ])
+    @pytest.mark.parametrize("kind", [SensorKind.MAGNETOMETER, SensorKind.GYROSCOPE])
+    def test_bad_time_raises_after_the_readings_before_it(self, state, kind, bad, error):
+        times = BATCH_TIMES[:10] + [bad] + BATCH_TIMES[10:]  # after one full chunk
+        readings = sample_many(state, kind, times)
+        for t in times[:10]:
+            assert next(readings) == sample(state, kind, t)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            next(readings)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            sample(state, kind, bad)
+
+    def test_overflowing_timestamp_raises_after_the_readings_before_it(self, state):
+        cfg = ShieldConfig(quantum_ms=5e-324)
+        readings = sample_many(state, SensorKind.MAGNETOMETER, [0.0, 1000.0], cfg)
+        assert next(readings) == sample(state, SensorKind.MAGNETOMETER, 0.0, cfg)
+        with pytest.raises(ValueError, match="overflows the bucket index"):
+            next(readings)
+
+    def test_unknown_kind_rejected(self, state):
+        with pytest.raises(ValueError, match="unknown sensor kind"):
+            next(sample_many(state, "thermometer", [0.0]))
+
+    def test_import_leaves_numpy_and_the_probe_unloaded(self):
+        code = ("import sys, webshield.sensorsim as s; "
+                "assert 'numpy' not in sys.modules and s._batch_sin is None")
+        subprocess.run([sys.executable, "-c", code], check=True)
