@@ -21,8 +21,6 @@ import math
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from .keyrand import FarbleSeed, keystream_bytes, uniform01, uniform_range
 
 # Audio perturbation amplitude: inaudible, above float32 quantization at
@@ -72,6 +70,8 @@ class AudioSamples:
         return len(self.channels[0]) if self.channels else 0
 
     def __post_init__(self):
+        import numpy as np
+
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
         frames = self.frame_count()
@@ -135,6 +135,8 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
     hash.  Alpha bytes pass through untouched, and no channel moves by
     more than 1.
     """
+    import numpy as np
+
     n_pixels = bitmap.width * bitmap.height
     content_hash = bitmap_content_hash(seed, bitmap)
     n_bits = 3 * n_pixels
@@ -148,6 +150,8 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
 def audio_content_hash(seed: FarbleSeed, audio: AudioSamples) -> bytes:
     """Hash over rate, channel count, frame count, then each channel's
     samples as float32-LE, channel-major."""
+    import numpy as np
+
     frames = audio.frame_count()
     h = hashlib.sha256(seed.value)
     h.update(struct.pack("<III", audio.sample_rate, len(audio.channels), frames))
@@ -163,6 +167,8 @@ def farble_audio(seed: FarbleSeed, audio: AudioSamples) -> AudioSamples:
     (u - 0.5) * 2 * AUDIO_EPSILON where u is the content-keyed uniform
     draw at that index; results clamp to [-1, 1].
     """
+    import numpy as np
+
     frames = audio.frame_count()
     total = frames * len(audio.channels)
     content_hash = audio_content_hash(seed, audio)

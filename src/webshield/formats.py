@@ -10,8 +10,6 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
-import numpy as np
-
 from .farble import AudioSamples, BitmapBuffer
 
 
@@ -30,6 +28,8 @@ def read_bitmap(path: str | Path) -> BitmapBuffer:
 
 
 def write_audio(path: str | Path, audio: AudioSamples) -> None:
+    import numpy as np
+
     frames = audio.frame_count()
     arr = np.asarray(audio.channels, dtype=np.float32).reshape(len(audio.channels), frames)
     with open(path, "wb") as f:
@@ -38,6 +38,8 @@ def write_audio(path: str | Path, audio: AudioSamples) -> None:
 
 
 def read_audio(path: str | Path) -> AudioSamples:
+    import numpy as np
+
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise ValueError(f"audio file too short: {path}")

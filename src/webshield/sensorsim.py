@@ -362,8 +362,11 @@ def sample_many(
     inf = math.inf
     while chunk := list(islice(times, SAMPLE_CHUNK)):
         n = 0  # chunk[:n] passes sample's time check
-        while n < len(chunk) and 0 <= chunk[n] < inf:
-            n += 1
+        try:
+            while n < len(chunk) and 0 <= chunk[n] < inf:
+                n += 1
+        except TypeError:
+            pass  # chunk[n] is not a number: sample raises on it below
         good = chunk[:n]
         if kind is SensorKind.MAGNETOMETER:
             values = _magnetometer_values(state, good)

@@ -185,21 +185,44 @@ class TestVersionAndUsage:
         )
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("args, stdin", [
-        (["--version"], ""),
-        (["time", "shield", "--origin", ORIGIN, "--session", FIXED_SESSION], "5\n"),
-    ], ids=["version", "time-shield"])
-    def test_command_without_the_proxy_leaves_http_server_unimported(self, args, stdin):
+    KEYED = ["--origin", ORIGIN, "--session", FIXED_SESSION]
+
+    @pytest.mark.parametrize("args, stdin, loads_numpy", [
+        (["--version"], "", False),
+        (["time", "shield", *KEYED], "5\n", False),
+        (["fpd", "analyze", "--trace", "{dir}/trace.json"], "", False),
+        (["nbs", "check", "--origin-class", "public", "--target", "127.0.0.1:80"], "", False),
+        (["spoof", "gl", *KEYED], "", False),
+        (["farble", "geo", "--lat", "50.0755", "--lon", "14.4378", *KEYED], "", False),
+        (["sensors", "gen", "--sensor", "accelerometer", "--rate", "10", "--duration", "1",
+          *KEYED], "", False),
+        (["farble", "canvas", "--in", "{dir}/in.rgba", "--out", "{dir}/out", *KEYED], "", True),
+    ], ids=["version", "time-shield", "fpd-analyze", "nbs-check", "spoof-gl", "farble-geo",
+            "sensors-gen", "farble-canvas"])
+    def test_command_without_the_proxy_leaves_http_server_unimported(
+        self, tmp_path, args, stdin, loads_numpy
+    ):
+        """No command but ``nbs proxy`` loads the proxy, and numpy loads
+        only for the commands that compute with it."""
         import subprocess
         import sys
+        from importlib import resources
 
+        write_white_bitmap(tmp_path / "in.rgba")
+        (tmp_path / "trace.json").write_text(
+            resources.files("webshield.data").joinpath("fpd_corpus/fp_canvas_audio_mix.json")
+            .read_text()
+        )
         report = ("import atexit, runpy, sys; atexit.register(lambda: print(sorted("
-                  "m for m in ('webshield.proxy', 'http.server') if m in sys.modules), "
+                  "m for m in ('webshield.proxy', 'http.server', 'numpy') if m in sys.modules), "
                   "file=sys.stderr)); runpy.run_module('webshield', run_name='__main__')")
-        result = subprocess.run([sys.executable, "-c", report, *args], input=stdin,
-                                capture_output=True, text=True, timeout=60)
+        result = subprocess.run([sys.executable, "-c", report,
+                                 *(a.format(dir=tmp_path) for a in args)],
+                                input=stdin, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        assert result.stderr == "[]\n"
+        *actions, loaded = result.stderr.splitlines()
+        assert all(line.startswith("action=") for line in actions), result.stderr
+        assert loaded == str(["numpy"] if loads_numpy else [])
 
 
 class TestFarbleCanvas:

@@ -285,6 +285,12 @@ class TestSampleMany:
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             sample(state, kind, bad)
 
+    def test_non_number_time_raises_after_the_readings_before_it(self, state):
+        readings = sample_many(state, "gyroscope", [0.0, "x"])
+        assert next(readings) == sample(state, "gyroscope", 0.0)
+        with pytest.raises(TypeError):
+            next(readings)
+
     def test_overflowing_timestamp_raises_after_the_readings_before_it(self, state):
         cfg = ShieldConfig(quantum_ms=5e-324)
         readings = sample_many(state, SensorKind.MAGNETOMETER, [0.0, 1000.0], cfg)
@@ -299,4 +305,12 @@ class TestSampleMany:
     def test_import_leaves_numpy_and_the_probe_unloaded(self):
         code = ("import sys, webshield.sensorsim as s; "
                 "assert 'numpy' not in sys.modules and s._batch_sin is None")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_library_import_leaves_numpy_unloaded_until_a_payload_needs_it(self):
+        code = ("import sys; "
+                "from webshield import cli, farble, formats, profiles, fpd, nbs, proxy; "
+                "assert 'numpy' not in sys.modules; "
+                "farble.AudioSamples(8000, [[0.0]]); "
+                "assert 'numpy' in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True)
