@@ -68,19 +68,6 @@ class BlockDirective(str, Enum):
 
 
 @dataclass(frozen=True)
-class ApiCallEvent:
-    t_ms: float
-    endpoint: str
-    count: int = 1
-
-    def __post_init__(self):
-        if not self.endpoint:
-            raise ValueError("endpoint must be non-empty")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-
-@dataclass(frozen=True)
 class FpdConfig:
     """A detector config flattened into one table by ``load_fpd_config``.
 
@@ -109,12 +96,6 @@ class FpdVerdict:
     detected: bool
     severity: Severity
     fired_groups: tuple
-
-
-def ingest(state: FpdState, event: ApiCallEvent) -> FpdState:
-    """Add one trace event to the state's counters."""
-    state.counters[event.endpoint] += event.count
-    return state
 
 
 def _read(source: str | Path | dict):
@@ -368,25 +349,41 @@ def block_directives(verdict: FpdVerdict, mode: FpdMode | str) -> list:
     return []
 
 
-def _event(entry) -> ApiCallEvent:
-    if not isinstance(entry, dict):
-        raise ValueError("event must be an object")
-    t_ms, endpoint, count = entry["t_ms"], entry["endpoint"], entry.get("count", 1)
-    # exact type tests first: a trace holds thousands of well-typed events
-    if type(t_ms) is not float or not math.isfinite(t_ms):
-        t_ms = _number(t_ms, "t_ms")
-    if type(endpoint) is not str or type(count) is not int:
-        _typed(endpoint, str, "endpoint")
-        _typed(count, int, "count")
-    return ApiCallEvent(t_ms, endpoint, count)
+def ingest(state: FpdState, events: list) -> FpdState:
+    """Check raw trace events and add their counts to the state's counters.
+
+    An event needs a finite number ``t_ms``, a non-empty string
+    ``endpoint`` and an integer ``count`` >= 1 (default 1); a bool is
+    neither.  A bad event raises ``ValueError`` naming its index; the
+    events before it have already been counted.
+    """
+    counters = state.counters
+    for i, entry in enumerate(events):
+        try:
+            if not isinstance(entry, dict):
+                raise ValueError("event must be an object")
+            t_ms, endpoint, count = entry["t_ms"], entry["endpoint"], entry.get("count", 1)
+            # exact type tests first: a trace holds thousands of well-typed events
+            if type(t_ms) is not float or not math.isfinite(t_ms):
+                _number(t_ms, "t_ms")
+            if type(endpoint) is not str or type(count) is not int:
+                _typed(endpoint, str, "endpoint")
+                _typed(count, int, "count")
+            if not endpoint:
+                raise ValueError("endpoint must be non-empty")
+            if count < 1:
+                raise ValueError(f"count must be >= 1, got {count}")
+        except (KeyError, ValueError, RecursionError) as exc:
+            raise ValueError(f"invalid trace event at index {i}: {exc}") from exc
+        counters[endpoint] += count
+    return state
 
 
-def load_trace(source: str | Path | dict) -> tuple[str, list]:
-    """Parse a trace document: {"page": url, "events": [...]}.
+def load_trace(source: str | Path | dict) -> FpdState:
+    """Check and count a trace document, {"page": url, "events": [...]}.
 
-    ``page`` is an optional string.  An event needs a finite number
-    ``t_ms``, a non-empty string ``endpoint`` and an integer ``count`` >= 1
-    (default 1); a bool is neither.
+    ``page`` is an optional string; ``ingest`` checks and counts the
+    events.
     """
     try:
         doc = _read(source)
@@ -396,23 +393,14 @@ def load_trace(source: str | Path | dict) -> tuple[str, list]:
         raise ValueError("trace must be an object with an 'events' array")
     if not isinstance(doc.get("page", ""), str):
         raise ValueError("trace 'page' must be a string")
-    events = []
-    for i, entry in enumerate(doc["events"]):
-        try:
-            events.append(_event(entry))
-        except (KeyError, ValueError, RecursionError) as exc:
-            raise ValueError(f"invalid trace event at index {i}: {exc}") from exc
-    return doc.get("page", ""), events
+    return ingest(FpdState(page=doc.get("page", "")), doc["events"])
 
 
 def analyze_trace(
     source: str | Path | dict, cfg: FpdConfig | None = None
 ) -> tuple[FpdState, FpdVerdict, Report]:
-    """Convenience pipeline: load, ingest, evaluate, report."""
+    """Convenience pipeline: load, evaluate, report."""
     cfg = cfg or default_config()
-    page, events = load_trace(source)
-    state = FpdState(page=page)
-    for event in events:
-        ingest(state, event)
+    state = load_trace(source)
     verdict = evaluate(state, cfg)
     return state, verdict, render_report(state, cfg, verdict)

@@ -32,6 +32,7 @@ from .nbs import AddressClass, Decision, LearnCache, NbsMode, gate, split_author
 BLOCK_REASON_HEADER = "X-Boundary-Block-Reason"
 COALESCE_WINDOW_S = 10.0
 UPSTREAM_TIMEOUT_S = 10.0
+CLIENT_TIMEOUT_S = 10.0  # a client silent this long mid-request is disconnected
 MAX_BODY_BYTES = 16 * 1024 * 1024  # larger declared bodies get a 413
 
 _HOP_BY_HOP = {
@@ -113,6 +114,7 @@ class DecisionLog:
 class _ProxyHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "webshield-nbs"
+    timeout = CLIENT_TIMEOUT_S  # applied to the client socket by StreamRequestHandler.setup
 
     # ------------------------------------------------------------------
     # decision plumbing

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from webshield.farble import BitmapBuffer, farble_bitmap
-from webshield.fpd import ApiCallEvent, FpdState, default_config, evaluate, ingest, load_trace
+from webshield.fpd import FpdState, default_config, evaluate, ingest, load_trace
 from webshield.keyrand import (
     FarbleSeed,
     Origin,
@@ -238,11 +238,8 @@ def test_criterion_5_fpd_corpus():
     rng = np.random.default_rng(3)
     for name in corpus:
         text = resources.files("webshield.data").joinpath(f"fpd_corpus/{name}").read_text()
-        page, events = load_trace(json.loads(text))
-        state = FpdState(page=page)
-        for event in events:
-            ingest(state, event)
-        verdict = evaluate(state, cfg)
+        events = json.loads(text)["events"]
+        verdict = evaluate(load_trace(text), cfg)
         expected = name.startswith("fp_")
         assert verdict.detected == expected, (
             f"{name}: detected={verdict.detected} score={verdict.score}"
@@ -250,9 +247,7 @@ def test_criterion_5_fpd_corpus():
         # permutations leave the verdict unchanged
         for _ in range(3):
             order = rng.permutation(len(events))
-            shuffled = FpdState(page=page)
-            for index in order:
-                ingest(shuffled, events[int(index)])
+            shuffled = ingest(FpdState(), [events[int(index)] for index in order])
             assert evaluate(shuffled, cfg) == verdict, f"{name}: permutation changed verdict"
     report(
         5,

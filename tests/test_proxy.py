@@ -405,6 +405,23 @@ class TestMalformedRequests:
         assert log.read_text() == ""
         assert "Traceback" not in capfd.readouterr().err
 
+    def test_client_silent_mid_head_is_disconnected(self, tmp_path, capfd, monkeypatch):
+        # the shipped handler carries the deadline; the test only shortens it
+        assert proxy_module._ProxyHandler.timeout == proxy_module.CLIENT_TIMEOUT_S
+        monkeypatch.setattr(proxy_module._ProxyHandler, "timeout", 0.5)
+        log = tmp_path / "decisions.jsonl"
+        proxy = run_proxy(ProxyConfig(log_path=log))
+        try:
+            with socket.create_connection(proxy.address, timeout=2.0) as sock:
+                sock.sendall(b"GET http://127.0.0.1/ HTT")
+                started = time.monotonic()
+                assert sock.recv(65536) == b""  # a socket.timeout here means no deadline
+                assert time.monotonic() - started < 2.0
+        finally:
+            proxy.stop()
+        assert log.read_text() == ""
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_valid_body_still_forwarded(self, stub):
         proxy = run_proxy(
             ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)

@@ -143,6 +143,9 @@ def main(argv=None) -> int:
             if out["machine"] is None:
                 machine = runs["parent"][0]["detail"]["machine"]
                 out["machine"] = {k: machine[k] for k in ("nproc", "cpu_model", "python", "numpy")}
+                # without .pyc files every cold start recompiles the sources
+                out["machine"]["PYTHONDONTWRITEBYTECODE"] = os.environ.get(
+                    "PYTHONDONTWRITEBYTECODE")
         if args.traced:
             traced = {"seed": seeds[0]}
             for side in trees:
