@@ -72,6 +72,20 @@ def cfg():
     return default_config()
 
 
+class TestEvents:
+    def test_count_must_be_positive(self):
+        state = FpdState()
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            ingest(state, raw_events([("Navigator.prototype.userAgent", 0)]))
+        assert not state.counters
+
+    def test_endpoint_must_be_nonempty(self):
+        state = FpdState()
+        with pytest.raises(ValueError, match="endpoint must be non-empty"):
+            ingest(state, raw_events([("", 1)]))
+        assert not state.counters
+
+
 class TestIngest:
     def test_single_event(self):
         state = state_from([("HTMLCanvasElement.prototype.toDataURL", 1)])
