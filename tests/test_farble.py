@@ -20,6 +20,7 @@ from webshield.farble import (
     AudioSamples,
     BitmapBuffer,
     GeoCoordinate,
+    audio_content_hash,
     degrade_geolocation,
     farble_audio,
     farble_bitmap,
@@ -187,6 +188,29 @@ class TestFarbleAudio:
         d_quiet = np.asarray(farble_audio(SEED_A, quiet).channels[0]) - 0.0
         d_loud = np.asarray(farble_audio(SEED_A, loud).channels[0]) - 0.5
         assert not np.allclose(d_quiet, d_loud)
+
+    # Output pinned as float64: the CLI golden files hold float32, which
+    # would hide a change below float32 resolution in the offsets.  The
+    # 3x7 case clips at both ends (-1.0 and 1.0 are its first and last
+    # samples).
+    @pytest.mark.parametrize("channels,out_sha,content_hash", [
+        ([[(7 * c + i - 10) / 10 for i in range(7)] for c in range(3)],
+         "f7f03163f43339314fa068499ec60e5d457d420c6f82c9e762e144e1bbf55cf5",
+         "e82450f25ea696f918abfef1c0a9b74fceb1dcff7ef431ae00065ca9bdd83aac"),
+        ([[0.25], [-0.5]],
+         "0d121ecc5a72386d0212ec2731ef0656c9c7486022091485095aa64d8f1435c5",
+         "f3f567f928b5998aead066bf18ef6fed0ce0e300bbe14182ba4251386bdc6040"),
+        ([],
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "c304556e442027feadc436421d6100de1aaa4b94ce1c0f1c1608092b2571e959"),
+    ], ids=["3x7", "2x1", "0x0"])
+    def test_golden(self, channels, out_sha, content_hash):
+        audio = AudioSamples(8000, channels)
+        out = farble_audio(SEED_A, audio)
+        assert len(out.channels) == len(channels)
+        samples = np.asarray(out.channels, dtype="<f8").tobytes()
+        assert hashlib.sha256(samples).hexdigest() == out_sha
+        assert audio_content_hash(SEED_A, audio).hex() == content_hash
 
 
 class TestSpoofGlStrings:
