@@ -20,8 +20,12 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .keyrand import FarbleSeed, keystream_bytes, uniform01, uniform_range
+from .keyrand import FarbleSeed, keystream_bytes, subseed, uniform01, uniform_range
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Audio perturbation amplitude: inaudible, above float32 quantization at
 # unit scale only marginally, below human ABX thresholds by orders of
@@ -40,6 +44,12 @@ MIN_PRECISION_M = 0.001
 METERS_PER_DEG_LAT = 111_320.0
 
 
+def _check_le32_int(name: str, value) -> None:
+    """Widths, heights and sample rates travel as LE32 header fields."""
+    if isinstance(value, bool) or not isinstance(value, int) or value > 2**32 - 1:
+        raise ValueError(f"{name} must be an int <= {2**32 - 1}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class BitmapBuffer:
     """RGBA bitmap, row-major, 4 bytes per pixel."""
@@ -49,6 +59,8 @@ class BitmapBuffer:
     data: bytes
 
     def __post_init__(self):
+        _check_le32_int("bitmap width", self.width)
+        _check_le32_int("bitmap height", self.height)
         if self.width < 0 or self.height < 0:
             raise ValueError("bitmap dimensions must be non-negative")
         expected = 4 * self.width * self.height
@@ -61,26 +73,30 @@ class BitmapBuffer:
 
 @dataclass(frozen=True)
 class AudioSamples:
-    """Per-channel PCM sample arrays; samples are reals in [-1, 1]."""
+    """PCM samples: one float64 array of shape (channels, frames), built
+    from any sequence of equal-length channels; samples are reals in [-1, 1]."""
 
     sample_rate: int
-    channels: list
-
-    def frame_count(self) -> int:
-        return len(self.channels[0]) if self.channels else 0
+    channels: np.ndarray
 
     def __post_init__(self):
         import numpy as np
 
+        _check_le32_int("sample rate", self.sample_rate)
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
-        frames = self.frame_count()
+        frames = len(self.channels[0]) if len(self.channels) else 0
         for i, ch in enumerate(self.channels):
             if len(ch) != frames:
                 raise ValueError(f"channel {i} length {len(ch)} != {frames}")
-            arr = np.asarray(ch, dtype=np.float64)
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"channel {i} contains non-finite samples")
+        arr = np.asarray(self.channels, dtype=np.float64)
+        if arr.ndim > 2:
+            raise ValueError("each channel must be a flat sequence of samples")
+        arr = arr.reshape(len(arr), frames)  # no channels: (0,) becomes (0, 0)
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"channel {finite.argmin()} contains non-finite samples")
+        object.__setattr__(self, "channels", arr)
 
 
 @dataclass(frozen=True)
@@ -117,8 +133,7 @@ class GeoCoordinate:
 
 
 def _content_keystream(seed: FarbleSeed, content_hash: bytes, length: int) -> bytes:
-    mask_seed = FarbleSeed(hashlib.sha256(seed.value + content_hash).digest())
-    return keystream_bytes(mask_seed, 0, length)
+    return keystream_bytes(subseed(seed, content_hash), 0, length)
 
 
 def bitmap_content_hash(seed: FarbleSeed, bitmap: BitmapBuffer) -> bytes:
@@ -148,15 +163,11 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
 
 
 def audio_content_hash(seed: FarbleSeed, audio: AudioSamples) -> bytes:
-    """Hash over rate, channel count, frame count, then each channel's
-    samples as float32-LE, channel-major."""
-    import numpy as np
-
-    frames = audio.frame_count()
+    """Hash over rate, channel count, frame count, then the samples as
+    float32-LE, channel-major."""
     h = hashlib.sha256(seed.value)
-    h.update(struct.pack("<III", audio.sample_rate, len(audio.channels), frames))
-    for ch in audio.channels:
-        h.update(np.asarray(ch, dtype="<f4").tobytes())
+    h.update(struct.pack("<III", audio.sample_rate, *audio.channels.shape))
+    h.update(audio.channels.astype("<f4").tobytes())
     return h.digest()
 
 
@@ -169,19 +180,13 @@ def farble_audio(seed: FarbleSeed, audio: AudioSamples) -> AudioSamples:
     """
     import numpy as np
 
-    frames = audio.frame_count()
-    total = frames * len(audio.channels)
     content_hash = audio_content_hash(seed, audio)
-    stream = _content_keystream(seed, content_hash, 8 * total)
+    stream = _content_keystream(seed, content_hash, 8 * audio.channels.size)
     u64 = np.frombuffer(stream, dtype="<u8")
     u = (u64 >> np.uint64(11)) * 2.0**-53
     offsets = (u - 0.5) * (2.0 * AUDIO_EPSILON)
-    out = []
-    for c, ch in enumerate(audio.channels):
-        arr = np.asarray(ch, dtype=np.float64)
-        perturbed = np.clip(arr + offsets[c * frames : (c + 1) * frames], -1.0, 1.0)
-        out.append(perturbed)
-    return AudioSamples(audio.sample_rate, out)
+    perturbed = audio.channels + offsets.reshape(audio.channels.shape)
+    return AudioSamples(audio.sample_rate, np.clip(perturbed, -1.0, 1.0))
 
 
 def _keyed_string(seed: FarbleSeed, region: int) -> str:

@@ -28,13 +28,9 @@ def read_bitmap(path: str | Path) -> BitmapBuffer:
 
 
 def write_audio(path: str | Path, audio: AudioSamples) -> None:
-    import numpy as np
-
-    frames = audio.frame_count()
-    arr = np.asarray(audio.channels, dtype=np.float32).reshape(len(audio.channels), frames)
     with open(path, "wb") as f:
-        f.write(struct.pack("<III", audio.sample_rate, len(audio.channels), frames))
-        f.write(arr.T.tobytes())  # interleaved
+        f.write(struct.pack("<III", audio.sample_rate, *audio.channels.shape))
+        f.write(audio.channels.astype("<f4").T.tobytes())  # interleaved
 
 
 def read_audio(path: str | Path) -> AudioSamples:
@@ -53,4 +49,4 @@ def read_audio(path: str | Path) -> AudioSamples:
             f"audio payload is {len(payload)} bytes, header implies {expected}"
         )
     interleaved = np.frombuffer(payload, dtype="<f4").reshape(frames, channels)
-    return AudioSamples(rate, [interleaved[:, c].astype(np.float64) for c in range(channels)])
+    return AudioSamples(rate, interleaved.T)

@@ -90,9 +90,8 @@ _FIXED_FAKES = {
     "canvas": lambda bitmap: BitmapBuffer(
         bitmap.width, bitmap.height, b"\xff" * (4 * bitmap.width * bitmap.height)
     ),
-    "audio": lambda audio: AudioSamples(
-        audio.sample_rate, [[0.0] * audio.frame_count() for _ in audio.channels]
-    ),
+    # abs(): a negative sample times 0.0 is -0.0, and silence is +0.0.
+    "audio": lambda audio: AudioSamples(audio.sample_rate, abs(audio.channels * 0.0)),
     "webgl": lambda _: GlStringSet(
         "Generic Vendor", "Generic Renderer", "Generic Vendor", "Generic Renderer"
     ),

@@ -248,8 +248,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             # does not wait for more.
             client.settimeout(0)
             pending = self.rfile.peek()
-            client.settimeout(None)
-            upstream.settimeout(None)
+            client.settimeout(self.timeout)
             upstream.sendall(self.rfile.read(len(pending)))
             while True:
                 readable, _, _ = select.select(sockets, [], [], 30.0)

@@ -320,6 +320,14 @@ class TestDegradeGeolocation:
 @pytest.mark.parametrize("build,message", [
     (lambda: BitmapBuffer(-1, 2, b""), "bitmap dimensions must be non-negative"),
     (lambda: BitmapBuffer(2, 2, b"\x00" * 15), "bitmap data is 15 bytes, expected 16 for 2x2 RGBA"),
+    (lambda: BitmapBuffer(2**32, 0, b""), "bitmap width must be an int <= 4294967295, not 4294967296"),
+    (lambda: BitmapBuffer(0, 2**32, b""), "bitmap height must be an int <= 4294967295, not 4294967296"),
+    (lambda: BitmapBuffer(1.0, 1, b"\x00" * 4), "bitmap width must be an int <= 4294967295, not 1.0"),
+    (lambda: BitmapBuffer(True, 1, b"\x00" * 4), "bitmap width must be an int <= 4294967295, not True"),
+    (lambda: AudioSamples(2**32, [[0.0]]), "sample rate must be an int <= 4294967295, not 4294967296"),
+    (lambda: AudioSamples(8000.5, [[0.0]]), "sample rate must be an int <= 4294967295, not 8000.5"),
+    (lambda: AudioSamples(True, [[0.0]]), "sample rate must be an int <= 4294967295, not True"),
+    (lambda: AudioSamples(8000, [[[0.1]]]), "each channel must be a flat sequence of samples"),
     (lambda: AudioSamples(0, [[0.0]]), "sample rate must be positive"),
     (lambda: AudioSamples(-8000, [[0.0]]), "sample rate must be positive"),
     (lambda: AudioSamples(44100, [[0.0, 0.0], [0.0]]), "channel 1 length 1 != 2"),

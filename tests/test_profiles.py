@@ -70,7 +70,7 @@ class TestProtect:
         audio = AudioSamples(8000, [[0.5, -0.5, 0.25], [1.0, 0.0, -1.0]])
         fake = protect(ProtectionAction.FIXED_FAKE, "audio", audio, self._must_not_lie)
         assert fake.sample_rate == 8000
-        assert fake.channels == [[0.0] * 3, [0.0] * 3]
+        assert fake.channels.tolist() == [[0.0] * 3, [0.0] * 3]
 
     def test_fixed_fake_gpu_strings_are_generic(self):
         fake = protect(ProtectionAction.FIXED_FAKE, "webgl", None, self._must_not_lie)

@@ -200,6 +200,45 @@ class TestPreResolveMode:
         finally:
             proxy.stop()
 
+    @pytest.mark.parametrize("stalled", ["target", "client"])
+    def test_tunnel_end_that_stops_reading_is_cut_off(self, monkeypatch, stalled):
+        """A send toward a tunnel end that stops reading times out, so the
+        other end's flood cannot hold the handler thread for good."""
+        assert proxy_module._ProxyHandler.timeout == proxy_module.CLIENT_TIMEOUT_S
+        monkeypatch.setattr(proxy_module._ProxyHandler, "timeout", 0.5)
+        monkeypatch.setattr(proxy_module, "UPSTREAM_TIMEOUT_S", 0.5)
+        proxy = run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+        try:
+            with socket.create_server(("127.0.0.1", 0)) as target, socket.socket() as client:
+                # small buffers fill after a few KiB; accepted sockets inherit them
+                for sock in (target, client):
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                target.settimeout(3)
+                client.settimeout(3)
+                client.connect(proxy.address)
+                port = target.getsockname()[1]
+                client.sendall(f"CONNECT 127.0.0.1:{port} HTTP/1.1\r\n\r\n".encode())
+                upstream, _ = target.accept()
+                with upstream:
+                    assert client.recv(65536).startswith(b"HTTP/1.1 200 ")
+                    sender = client if stalled == "target" else upstream
+                    sender.settimeout(0.1)
+                    deadline = time.monotonic() + 3.0
+                    cut_off = False
+                    while not cut_off and time.monotonic() < deadline:
+                        try:
+                            sender.send(bytes(65536))
+                        except TimeoutError:
+                            pass
+                        except OSError:  # reset or broken pipe: the proxy closed
+                            cut_off = True
+                    assert cut_off
+        finally:
+            proxy.stop()
+
     def test_unresolvable_host_is_bad_gateway(self):
         proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
         try:
