@@ -45,6 +45,8 @@ VERSION_TEXT = (
     f"(fpd-config-schema {CONFIG_SCHEMA_VERSION}, profile-table-schema {TABLE_SCHEMA_VERSION})"
 )
 
+TIME_WRITE_BATCH = 4096  # shielded lines per write when stdout is not a terminal
+
 
 def _parse_session(ctx, param, value):
     if value is None:
@@ -301,10 +303,16 @@ def time_shield(quantum, no_randomize, session, origin):
                 raise ValueError(f"not a timestamp: {line!r}") from None
 
     write = sys.stdout.write
+    batch = 1 if sys.stdout.isatty() else TIME_WRITE_BATCH  # a terminal sees each line
+    lines = []
     try:
         for shielded in shield_stream(seed, parse_lines(), cfg):
-            write(f"{shielded!r}\n")
+            lines.append(f"{shielded!r}\n")
+            if len(lines) == batch:
+                write("".join(lines))
+                lines.clear()
     finally:
+        write("".join(lines))  # the lines before a bad one still come out
         sys.stdout.flush()  # a pipe or file is block-buffered
 
 

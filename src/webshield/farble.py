@@ -32,6 +32,13 @@ if TYPE_CHECKING:
 # magnitude.
 AUDIO_EPSILON = 1e-7
 
+# Canvas and audio masks are read and applied one chunk at a time, so a
+# transform holds the payload, its output and one chunk.  256 pixels
+# take 96 mask bytes and 4 samples 32, so both chunks are whole
+# keystream blocks.
+BITMAP_CHUNK_PIXELS = 65_536
+AUDIO_CHUNK_SAMPLES = 32_768
+
 GL_CHARSET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 "
 GL_MIN_LEN, GL_MAX_LEN = 8, 32
 
@@ -73,8 +80,9 @@ class BitmapBuffer:
 
 @dataclass(frozen=True)
 class AudioSamples:
-    """PCM samples: one float64 array of shape (channels, frames), built
-    from any sequence of equal-length channels; samples are reals in [-1, 1]."""
+    """PCM samples: one C-ordered float64 array of shape (channels, frames),
+    built from any sequence of equal-length channels; samples are reals in
+    [-1, 1]."""
 
     sample_rate: int
     channels: np.ndarray
@@ -89,7 +97,7 @@ class AudioSamples:
         for i, ch in enumerate(self.channels):
             if len(ch) != frames:
                 raise ValueError(f"channel {i} length {len(ch)} != {frames}")
-        arr = np.asarray(self.channels, dtype=np.float64)
+        arr = np.asarray(self.channels, dtype=np.float64, order="C")
         if arr.ndim > 2:
             raise ValueError("each channel must be a flat sequence of samples")
         arr = arr.reshape(len(arr), frames)  # no channels: (0,) becomes (0, 0)
@@ -97,6 +105,14 @@ class AudioSamples:
         if not finite.all():
             raise ValueError(f"channel {finite.argmin()} contains non-finite samples")
         object.__setattr__(self, "channels", arr)
+
+    def __eq__(self, other):
+        import numpy as np
+
+        if not isinstance(other, AudioSamples):
+            return NotImplemented
+        return self.sample_rate == other.sample_rate and np.array_equal(
+            self.channels, other.channels)
 
 
 @dataclass(frozen=True)
@@ -132,14 +148,11 @@ class GeoCoordinate:
             raise ValueError(f"accuracy must be >= 0: {self.accuracy}")
 
 
-def _content_keystream(seed: FarbleSeed, content_hash: bytes, length: int) -> bytes:
-    return keystream_bytes(subseed(seed, content_hash), 0, length)
-
-
 def bitmap_content_hash(seed: FarbleSeed, bitmap: BitmapBuffer) -> bytes:
-    return hashlib.sha256(
-        seed.value + struct.pack("<II", bitmap.width, bitmap.height) + bitmap.data
-    ).digest()
+    h = hashlib.sha256(seed.value)
+    h.update(struct.pack("<II", bitmap.width, bitmap.height))
+    h.update(bitmap.data)
+    return h.digest()
 
 
 def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
@@ -147,18 +160,20 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
 
     Pass 1 hashes seed plus dimensions plus pixel data; pass 2 XORs each
     R, G, B byte's LSB with one bit of a keystream derived from that
-    hash.  Alpha bytes pass through untouched, and no channel moves by
-    more than 1.
+    hash, one chunk of pixels at a time.  Alpha bytes pass through
+    untouched, and no channel moves by more than 1.
     """
     import numpy as np
 
     n_pixels = bitmap.width * bitmap.height
-    content_hash = bitmap_content_hash(seed, bitmap)
-    n_bits = 3 * n_pixels
-    stream = _content_keystream(seed, content_hash, (n_bits + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
+    mask_seed = subseed(seed, bitmap_content_hash(seed, bitmap))
     arr = np.frombuffer(bitmap.data, dtype=np.uint8).copy().reshape(n_pixels, 4)
-    arr[:, :3] ^= bits[:n_bits].reshape(n_pixels, 3)
+    for lo in range(0, n_pixels, BITMAP_CHUNK_PIXELS):
+        hi = min(lo + BITMAP_CHUNK_PIXELS, n_pixels)
+        first_byte, skip = divmod(3 * lo, 8)
+        stream = keystream_bytes(mask_seed, first_byte, (3 * hi + 7) // 8 - first_byte)
+        bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
+        arr[lo:hi, :3] ^= bits[skip : skip + 3 * (hi - lo)].reshape(hi - lo, 3)
     return BitmapBuffer(bitmap.width, bitmap.height, arr.tobytes())
 
 
@@ -167,7 +182,9 @@ def audio_content_hash(seed: FarbleSeed, audio: AudioSamples) -> bytes:
     float32-LE, channel-major."""
     h = hashlib.sha256(seed.value)
     h.update(struct.pack("<III", audio.sample_rate, *audio.channels.shape))
-    h.update(audio.channels.astype("<f4").tobytes())
+    samples = audio.channels.reshape(-1)
+    for lo in range(0, samples.size, AUDIO_CHUNK_SAMPLES):
+        h.update(samples[lo : lo + AUDIO_CHUNK_SAMPLES].astype("<f4"))
     return h.digest()
 
 
@@ -176,17 +193,22 @@ def farble_audio(seed: FarbleSeed, audio: AudioSamples) -> AudioSamples:
 
     Sample i of channel c (global index c * frames + i) moves by
     (u - 0.5) * 2 * AUDIO_EPSILON where u is the content-keyed uniform
-    draw at that index; results clamp to [-1, 1].
+    draw at that index; results clamp to [-1, 1].  The mask is read and
+    applied one chunk of samples at a time.
     """
     import numpy as np
 
-    content_hash = audio_content_hash(seed, audio)
-    stream = _content_keystream(seed, content_hash, 8 * audio.channels.size)
-    u64 = np.frombuffer(stream, dtype="<u8")
-    u = (u64 >> np.uint64(11)) * 2.0**-53
-    offsets = (u - 0.5) * (2.0 * AUDIO_EPSILON)
-    perturbed = audio.channels + offsets.reshape(audio.channels.shape)
-    return AudioSamples(audio.sample_rate, np.clip(perturbed, -1.0, 1.0))
+    mask_seed = subseed(seed, audio_content_hash(seed, audio))
+    samples = audio.channels.reshape(-1)
+    out = np.empty_like(audio.channels)
+    out_samples = out.reshape(-1)
+    for lo in range(0, samples.size, AUDIO_CHUNK_SAMPLES):
+        hi = min(lo + AUDIO_CHUNK_SAMPLES, samples.size)
+        u64 = np.frombuffer(keystream_bytes(mask_seed, 8 * lo, 8 * (hi - lo)), dtype="<u8")
+        u = (u64 >> np.uint64(11)) * 2.0**-53
+        offsets = (u - 0.5) * (2.0 * AUDIO_EPSILON)
+        np.clip(samples[lo:hi] + offsets, -1.0, 1.0, out=out_samples[lo:hi])
+    return AudioSamples(audio.sample_rate, out)
 
 
 def _keyed_string(seed: FarbleSeed, region: int) -> str:

@@ -139,13 +139,20 @@ def subseed(seed: FarbleSeed, label: bytes) -> FarbleSeed:
     return FarbleSeed(hashlib.sha256(seed.value + label).digest())
 
 
+_pack_u64 = struct.Struct("<Q").pack
+
+
 def keystream_block(seed: FarbleSeed, index: int) -> bytes:
     """32-byte block ``index`` of the seed's keystream."""
-    return hashlib.sha256(seed.value + struct.pack("<Q", index)).digest()
+    return hashlib.sha256(seed.value + _pack_u64(index)).digest()
 
 
 def keystream_bytes(seed: FarbleSeed, offset: int, length: int) -> bytes:
-    """Random-access read of ``length`` keystream bytes starting at ``offset``."""
+    """Random-access read of ``length`` keystream bytes starting at ``offset``.
+
+    The seed is hashed once; each block copies that prefix state and
+    hashes only its counter.
+    """
     if offset < 0 or length < 0:
         raise ValueError("offset and length must be non-negative")
     if length == 0:
@@ -154,9 +161,14 @@ def keystream_bytes(seed: FarbleSeed, offset: int, length: int) -> bytes:
     last = (offset + length - 1) // _BLOCK_LEN
     if last >= 1 << 64:
         raise ValueError("keystream read ends past block 2**64 - 1 (64-bit block counter)")
-    chunks = [keystream_block(seed, j) for j in range(first, last + 1)]
+    copy = hashlib.sha256(seed.value).copy
+    blocks = []
+    for j in range(first, last + 1):
+        h = copy()
+        h.update(_pack_u64(j))
+        blocks.append(h.digest())
     start = offset % _BLOCK_LEN
-    return b"".join(chunks)[start : start + length]
+    return b"".join(blocks)[start : start + length]  # a whole-stream slice copies nothing
 
 
 _unpack_u64 = struct.Struct("<Q").unpack_from

@@ -15,7 +15,9 @@ absolute boot time through them.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -23,6 +25,9 @@ from typing import Iterable, Iterator
 from .keyrand import FarbleSeed, subseed, uniform01
 
 DEFAULT_QUANTUM_MS = 10.0
+
+_pack_u64 = struct.Struct("<Q").pack
+_unpack_block = struct.Struct("<4Q").unpack
 
 
 def time_subseed(seed: FarbleSeed) -> FarbleSeed:
@@ -84,25 +89,40 @@ def shield_stream(
     seed: FarbleSeed, timestamps: Iterable[float], cfg: ShieldConfig | None = None
 ) -> Iterator[float]:
     """Shield a stream of timestamps, reusing the bucket noise between
-    consecutive values that fall in the same bucket."""
+    consecutive values that fall in the same bucket.
+
+    The noise is ``uniform01(seed, bucket)``, read straight from the
+    keystream: four buckets share a block, which is hashed once from
+    the seed's prefix state.
+    """
     cfg = cfg or ShieldConfig()
-    last_bucket = None
-    last_noise = 0.0
+    q = cfg.quantum_ms
+    copy = hashlib.sha256(seed.value).copy
+    last_bucket = last_block = None
+    words = ()
+    shielded = 0.0
     inf = math.inf  # a local: this check runs once per timestamp
     for t_ms in timestamps:
         if not 0 <= t_ms < inf:
             raise ValueError(f"timestamp must be finite and >= 0, got {t_ms}")
         try:
-            bucket = int(t_ms // cfg.quantum_ms)
+            bucket = int(t_ms // q)
         except OverflowError:
             raise _bucket_overflow(t_ms, cfg) from None
         if not cfg.randomize:
-            yield bucket * cfg.quantum_ms
+            yield bucket * q
             continue
         if bucket != last_bucket:
             last_bucket = bucket
-            last_noise = uniform01(seed, bucket) * cfg.quantum_ms
-        yield bucket * cfg.quantum_ms + last_noise
+            if bucket >> 2 != last_block:
+                last_block = bucket >> 2
+                if last_block >= 1 << 64:
+                    raise ValueError("draw past block 2**64 - 1 (64-bit block counter)")
+                h = copy()
+                h.update(_pack_u64(last_block))
+                words = _unpack_block(h.digest())
+            shielded = bucket * q + ((words[bucket & 3] >> 11) * 2.0**-53) * q
+        yield shielded
 
 
 def sensor_timestamp(

@@ -6,7 +6,9 @@ away early, and hostile numeric options; hostile numbers and text for
 import hashlib
 import math
 import os
+import pty
 import random
+import select
 import socket
 import subprocess
 import sys
@@ -117,6 +119,29 @@ class TestPartialOutput:
         assert output == (
             "t_ms,x,y,z\n0.000000,2.00496108,30.2542311,13.8906842\n"
             "Error: timestamp 1000.0 over quantum 5e-324 overflows the bucket index\n")
+
+
+class TestTerminal:
+    def test_time_shield_prints_each_line_as_its_timestamp_arrives(self):
+        """As in typing timestamps at a terminal: the shielded line comes
+        back while stdin is still open."""
+        master, slave = pty.openpty()
+        process = webshield(["time", "shield"], stdin=subprocess.PIPE, stdout=slave,
+                            stderr=subprocess.DEVNULL)
+        os.close(slave)
+        try:
+            process.stdin.write("5\n")
+            process.stdin.flush()
+            output = b""
+            while b"\n" not in output:
+                ready, _, _ = select.select([master], [], [], 60)
+                assert ready, f"no line within 60 s, got {output!r}"
+                output += os.read(master, 1024)
+            assert output == b"5.408292027151002\r\n"  # the terminal adds the \r
+        finally:
+            process.stdin.close()
+            process.wait(timeout=60)
+            os.close(master)
 
 
 class TestClosedReader:

@@ -10,12 +10,14 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from webshield import farble, formats
 from webshield.farble import (
     AudioSamples,
     BitmapBuffer,
@@ -348,3 +350,118 @@ def test_zero_size_audio_comes_back_as_float64_channels(channels):
     assert out.sample_rate == 8000 and len(out.channels) == len(channels)
     for ch in out.channels:
         assert isinstance(ch, np.ndarray) and ch.dtype == np.float64 and ch.size == 0
+
+
+class TestAudioSamplesEquality:
+    def test_equal_payloads_compare_equal(self):
+        assert AudioSamples(8000, [[0.1, 0.2]]) == AudioSamples(8000, [[0.1, 0.2]])
+        assert AudioSamples(8000, []) == AudioSamples(8000, [])
+
+    @pytest.mark.parametrize("other", [
+        AudioSamples(8000, [[0.1, 0.3]]),
+        AudioSamples(16000, [[0.1, 0.2]]),
+        AudioSamples(8000, [[0.1], [0.2]]),
+        AudioSamples(8000, [[0.1, 0.2], [0.1, 0.2]]),
+        [[0.1, 0.2]],
+    ])
+    def test_different_payloads_compare_unequal(self, other):
+        assert AudioSamples(8000, [[0.1, 0.2]]) != other
+
+    def test_read_back_payload_equals_its_source(self, tmp_path):
+        audio = AudioSamples(8000, [[0.5, -0.25, 0.0], [1.0, -1.0, 0.125]])
+        formats.write_audio(tmp_path / "a.raw", audio)
+        assert formats.read_audio(tmp_path / "a.raw") == audio
+
+
+# ----------------------------------------------------------------------
+# chunked masks against the unchunked formula
+
+
+def unchunked_farble_audio(seed, audio):
+    """The whole-payload formula: one content hash over all samples, one
+    keystream read for the whole mask."""
+    channels = np.asarray(audio.channels, dtype=np.float64)
+    content = hashlib.sha256(
+        seed.value + struct.pack("<III", audio.sample_rate, *channels.shape)
+        + channels.astype("<f4").tobytes()
+    ).digest()
+    mask_key = hashlib.sha256(seed.value + content).digest()
+    n = channels.size
+    stream = b"".join(hashlib.sha256(mask_key + struct.pack("<Q", j)).digest()
+                      for j in range((8 * n + 31) // 32))[: 8 * n]
+    u = (np.frombuffer(stream, dtype="<u8") >> np.uint64(11)) * 2.0**-53
+    offsets = ((u - 0.5) * (2.0 * 1e-7)).reshape(channels.shape)
+    return np.clip(channels + offsets, -1.0, 1.0)
+
+
+class TestChunkBoundaries:
+    """Tiny chunks put many chunk edges inside small payloads.  A chunk
+    of 8 samples or 256 pixels is whole keystream blocks; 5 samples and
+    100 pixels start chunks mid-block and, for pixels, mid-byte."""
+
+    @pytest.mark.parametrize("chunk", [8, 5])
+    @pytest.mark.parametrize("n_channels,frames", [
+        (3, 7),  # channel 1 starts at sample 7, mid-block
+        (2, 45),  # odd frame count, many chunks, a short last chunk
+        (1, 37),
+        (2, 0),
+        (3, 1),
+        (1, 1),
+    ])
+    def test_audio_matches_unchunked_formula(self, monkeypatch, chunk, n_channels, frames):
+        monkeypatch.setattr(farble, "AUDIO_CHUNK_SAMPLES", chunk)
+        rng = np.random.default_rng(n_channels * 1000 + frames)
+        audio = AudioSamples(8000, rng.uniform(-1.0, 1.0, size=(n_channels, frames)))
+        out = farble_audio(SEED_A, audio)
+        assert out.channels.shape == (n_channels, frames)
+        assert out.channels.tobytes() == unchunked_farble_audio(SEED_A, audio).tobytes()
+        content = hashlib.sha256(
+            SEED_A.value + struct.pack("<III", 8000, n_channels, frames)
+            + audio.channels.astype("<f4").tobytes()).digest()
+        assert audio_content_hash(SEED_A, audio) == content
+
+    @pytest.mark.parametrize("chunk", [256, 100])
+    @pytest.mark.parametrize("w,h", [
+        (1, 1),
+        (0, 0),
+        (7, 3),  # 63 mask bits: not a whole number of bytes
+        (37, 19),  # 703 pixels: several chunks, a short last one
+    ])
+    def test_bitmap_matches_unchunked_oracle(self, monkeypatch, chunk, w, h):
+        monkeypatch.setattr(farble, "BITMAP_CHUNK_PIXELS", chunk)
+        rng = np.random.default_rng(w * 100 + h)
+        bmp = BitmapBuffer(w, h, rng.integers(0, 256, size=4 * w * h, dtype=np.uint8).tobytes())
+        assert farble_bitmap(SEED_A, bmp).data == oracle_farble(SEED_A, bmp).data
+
+
+# ----------------------------------------------------------------------
+# bounded memory: the payload, the output and one chunk
+
+MiB = 2**20
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """``tracemalloc`` sees numpy's buffers.  A whole-payload temporary
+    (the full mask, its float conversions, a concatenated hash input)
+    exceeds these bounds; one chunk of either transform stays well
+    under 1 MiB."""
+
+    def test_audio_holds_the_output_and_one_chunk(self):
+        audio = AudioSamples(8000, np.random.default_rng(3).uniform(-1, 1, (2, 100_000)))
+        out_bytes = audio.channels.nbytes  # 1.5 MiB
+        assert traced_peak(farble_audio, SEED_A, audio) <= out_bytes + 3 * MiB
+
+    def test_bitmap_holds_two_payload_copies_and_one_chunk(self):
+        bmp = BitmapBuffer(512, 512, np.random.default_rng(4).integers(
+            0, 256, size=4 * 512 * 512, dtype=np.uint8).tobytes())
+        # the working buffer and the output's bytes: 1 MiB each
+        assert traced_peak(farble_bitmap, SEED_A, bmp) <= 2 * len(bmp.data) + MiB // 2

@@ -17,6 +17,7 @@ from webshield.keyrand import (
     Origin,
     SessionKey,
     derive_seed,
+    keystream_block,
     keystream_bytes,
     new_session_key,
     normalize_origin,
@@ -165,6 +166,15 @@ class TestKeystream:
     def test_seed_length_enforced(self):
         with pytest.raises(ValueError):
             FarbleSeed(b"tiny")
+
+    @given(offset=st.integers(min_value=0, max_value=200),
+           length=st.integers(min_value=0, max_value=200))
+    @example(offset=0, length=64)  # whole blocks
+    @example(offset=31, length=2)  # one byte each side of a block edge
+    def test_reads_match_the_one_block_oracle(self, offset, length):
+        blocks = range(offset // 32, (offset + length) // 32 + 1)
+        expected = b"".join(keystream_block(SEED, j) for j in blocks)[offset % 32:][:length]
+        assert keystream_bytes(SEED, offset, length) == expected
 
     def test_read_past_the_block_counter_rejected(self, canvas_seed):
         end = 32 << 64  # first byte of block 2**64

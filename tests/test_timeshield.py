@@ -1,7 +1,10 @@
 """Timestamp shielding: quantization, keyed noise, boot independence."""
 
+import re
+from contextlib import nullcontext
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webshield.keyrand import Origin, SessionKey, derive_seed, uniform01
@@ -100,6 +103,31 @@ class TestShieldStream:
         streamed = list(shield_stream(SEED, times, NOISY))
         scalar = [shield_timestamp(SEED, t, NOISY) for t in times]
         assert streamed == scalar
+
+    @given(st.lists(st.one_of(
+        st.floats(min_value=0.0, max_value=200.0),
+        st.floats(min_value=0.0, max_value=1e12),
+        st.sampled_from([0.0, 39.99, 40.0, 1e20, 2e20, 1e308]),
+    ), max_size=40), st.sampled_from([10.0, 0.1, 3.0]))
+    @example([5.0, 1e308, 6.0], 10.0)  # the second bucket is past the counter
+    @settings(max_examples=80)
+    def test_any_order_matches_scalar_operation(self, times, quantum):
+        """Buckets that repeat, share a block or go back to an earlier
+        block; the stream stops with the scalar's error at the first
+        bucket past the block counter."""
+        cfg = ShieldConfig(quantum_ms=quantum)
+        expected, error = [], None
+        for t in times:
+            try:
+                expected.append(shield_timestamp(SEED, t, cfg))
+            except ValueError as exc:
+                error = str(exc)
+                break
+        streamed = []
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$") if error else nullcontext():
+            for value in shield_stream(SEED, times, cfg):
+                streamed.append(value)
+        assert streamed == expected
 
     def test_plain_mode(self):
         assert list(shield_stream(SEED, [12.0, 25.0], PLAIN)) == [10.0, 20.0]

@@ -17,8 +17,11 @@ The output keeps the keys of the earlier BENCH files: per workload and
 side the median, quartiles and runs of each end-to-end metric, failed
 and attempted operations, the child's wins per metric, the digest of
 every run, the machine, an optional claim with its verdict, and an
-optional traced run per side.  The tool only reads ``run.py``'s output;
-it changes no bound, metric or benchmark file.
+optional traced run per side.  Per workload, ``same_outputs`` is true
+iff both sides' digests agree at every seed; a claim on a workload whose
+outputs differ is not met, and each such workload gets a warning on
+stderr.  The tool only reads ``run.py``'s output; it changes no bound,
+metric or benchmark file.
 """
 
 from __future__ import annotations
@@ -128,7 +131,12 @@ def main(argv=None) -> int:
                     runs[side].append(run)
                     out["digests_at_reference_seeds"].setdefault(
                         f"{workload}@{seed}", {})[side] = run["detail"]["digest"]
-            entry = {"seeds": seeds, "pairs": len(seeds)}
+            entry = {"seeds": seeds, "pairs": len(seeds), "same_outputs": all(
+                p["detail"]["digest"] == c["detail"]["digest"]
+                for p, c in zip(runs["parent"], runs["child"]))}
+            if not entry["same_outputs"]:
+                print(f"warning: {workload}: the child's outputs differ from the parent's "
+                      "at some seed (digests differ)", file=sys.stderr, flush=True)
             for side, side_runs in runs.items():
                 metrics = {name: summary([r["result"]["metrics"][name]["value"]
                                           for r in side_runs]) for name in lower}
@@ -164,7 +172,9 @@ def main(argv=None) -> int:
             "child_wins": wins, "median_parent": parent["median"],
             "median_child": child["median"], "median_difference": round(gap, 4),
             "parent_iqr": round(parent["q3"] - parent["q1"], 4),
-            "met": wins >= math.ceil(0.9 * entry["pairs"]) and gap > parent["q3"] - parent["q1"],
+            "same_outputs": entry["same_outputs"],
+            "met": (entry["same_outputs"] and wins >= math.ceil(0.9 * entry["pairs"])
+                    and gap > parent["q3"] - parent["q1"]),
         }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
