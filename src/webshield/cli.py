@@ -60,8 +60,6 @@ def _parse_session(ctx, param, value):
 
 
 def _parse_origin(ctx, param, value):
-    if value is None:
-        return None
     try:
         return Origin.parse(value)
     except ValueError as exc:
@@ -355,7 +353,7 @@ def nbs():
 @click.option("--origin-class", default="public", show_default=True,
               type=click.Choice([c.value for c in AddressClass]))
 @click.option("--target", required=True, metavar="HOST[:PORT]")
-@click.option("--resolved", metavar="IP")
+@click.option("--resolved", metavar="IP", help="Resolved address (preresolve mode only).")
 @click.option("--mode", type=click.Choice([m.value for m in NbsMode]),
               default="preresolve", show_default=True)
 def nbs_check(origin_class, target, resolved, mode):
@@ -367,6 +365,8 @@ def nbs_check(origin_class, target, resolved, mode):
         host, port = target, 0
     else:
         host, port = split_authority(target, 0)
+    if resolved is not None and mode is NbsMode.LEARN_ON_REPLY:  # a bad target still exits 1
+        raise click.UsageError("--resolved applies only to --mode preresolve")
     if resolved is not None or mode is NbsMode.LEARN_ON_REPLY:  # learn mode never connects
         decision = decide(mode, origin, host, resolved, LearnCache())
     else:

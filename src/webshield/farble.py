@@ -80,9 +80,9 @@ class BitmapBuffer:
 
 @dataclass(frozen=True)
 class AudioSamples:
-    """PCM samples: one C-ordered float64 array of shape (channels, frames),
-    built from any sequence of equal-length channels; samples are reals in
-    [-1, 1]."""
+    """PCM samples in [-1, 1]: one read-only, C-ordered float64 array of shape
+    (channels, frames) built from any sequence of equal-length channels.  An
+    array the caller can still write is copied; a read-only owner is kept."""
 
     sample_rate: int
     channels: np.ndarray
@@ -98,12 +98,15 @@ class AudioSamples:
             if len(ch) != frames:
                 raise ValueError(f"channel {i} length {len(ch)} != {frames}")
         arr = np.asarray(self.channels, dtype=np.float64, order="C")
+        if not arr.flags.owndata or (arr is self.channels and arr.flags.writeable):
+            arr = arr.copy()
         if arr.ndim > 2:
             raise ValueError("each channel must be a flat sequence of samples")
         arr = arr.reshape(len(arr), frames)  # no channels: (0,) becomes (0, 0)
         finite = np.isfinite(arr).all(axis=1)
         if not finite.all():
             raise ValueError(f"channel {finite.argmin()} contains non-finite samples")
+        arr.flags.writeable = False
         object.__setattr__(self, "channels", arr)
 
     def __eq__(self, other):
@@ -208,6 +211,7 @@ def farble_audio(seed: FarbleSeed, audio: AudioSamples) -> AudioSamples:
         u = (u64 >> np.uint64(11)) * 2.0**-53
         offsets = (u - 0.5) * (2.0 * AUDIO_EPSILON)
         np.clip(samples[lo:hi] + offsets, -1.0, 1.0, out=out_samples[lo:hi])
+    out.flags.writeable = False  # handed over, not copied
     return AudioSamples(audio.sample_rate, out)
 
 

@@ -20,11 +20,11 @@ def write_bitmap(path: str | Path, bitmap: BitmapBuffer) -> None:
 
 
 def read_bitmap(path: str | Path) -> BitmapBuffer:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise ValueError(f"bitmap file too short: {path}")
-    width, height = struct.unpack_from("<II", raw)
-    return BitmapBuffer(width, height, raw[8:])
+    with open(path, "rb", buffering=0) as f:  # unbuffered: the payload is read once
+        header = f.read(8)
+        if len(header) < 8:
+            raise ValueError(f"bitmap file too short: {path}")
+        return BitmapBuffer(*struct.unpack("<II", header), f.read())
 
 
 def write_audio(path: str | Path, audio: AudioSamples) -> None:
@@ -36,13 +36,14 @@ def write_audio(path: str | Path, audio: AudioSamples) -> None:
 def read_audio(path: str | Path) -> AudioSamples:
     import numpy as np
 
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise ValueError(f"audio file too short: {path}")
-    rate, channels, frames = struct.unpack_from("<III", raw)
-    if channels == 0 and frames != 0:
-        raise ValueError(f"audio header has {channels} channels but {frames} frames")
-    payload = raw[12:]
+    with open(path, "rb", buffering=0) as f:
+        header = f.read(12)
+        if len(header) < 12:
+            raise ValueError(f"audio file too short: {path}")
+        rate, channels, frames = struct.unpack("<III", header)
+        if channels == 0 and frames != 0:
+            raise ValueError(f"audio header has {channels} channels but {frames} frames")
+        payload = f.read()
     expected = 4 * channels * frames
     if len(payload) != expected:
         raise ValueError(

@@ -14,6 +14,10 @@ reproducible in any language:
     stream[i] = block[i // 32][i % 32]
     u64[k]    = LE64(stream[8k .. 8k+8])
     u01[k]    = (u64[k] >> 11) * 2**-53             # 53-bit uniform in [0,1)
+
+Only this module builds a block (``keystream_block``: an index outside
+the 64-bit block counter raises ``ValueError``) or decodes one into its
+four ``u01`` draws (``block_draws``, also for timestamps and sensor noise).
 """
 
 from __future__ import annotations
@@ -56,14 +60,17 @@ class SessionKey:
 
 @dataclass(frozen=True)
 class Origin:
-    """Normalized web origin: ``scheme://host[:port]``, lowercase host,
-    default port elided, no path or trailing slash."""
+    """Web origin ``scheme://host[:port]`` (lowercase host, default port
+    elided, no path), normalized on construction from any URL or origin."""
 
     value: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", normalize_origin(self.value))
+
     @classmethod
     def parse(cls, raw: str) -> "Origin":
-        return cls(normalize_origin(raw))
+        return cls(raw)
 
 
 def normalize_origin(raw: str) -> str:
@@ -140,11 +147,21 @@ def subseed(seed: FarbleSeed, label: bytes) -> FarbleSeed:
 
 
 _pack_u64 = struct.Struct("<Q").pack
+_unpack_block = struct.Struct("<4Q").unpack
 
 
 def keystream_block(seed: FarbleSeed, index: int) -> bytes:
     """32-byte block ``index`` of the seed's keystream."""
+    if not 0 <= index < 1 << 64:
+        raise ValueError(f"keystream block {index} is outside the 64-bit block counter")
     return hashlib.sha256(seed.value + _pack_u64(index)).digest()
+
+
+def block_draws(block: bytes) -> tuple[float, float, float, float]:
+    """The four ``u01`` draws of a 32-byte block, in stream order."""
+    a, b, c, d = _unpack_block(block)
+    return ((a >> 11) * 2.0**-53, (b >> 11) * 2.0**-53,
+            (c >> 11) * 2.0**-53, (d >> 11) * 2.0**-53)
 
 
 def keystream_bytes(seed: FarbleSeed, offset: int, length: int) -> bytes:
@@ -171,30 +188,24 @@ def keystream_bytes(seed: FarbleSeed, offset: int, length: int) -> bytes:
     return b"".join(blocks)[start : start + length]  # a whole-stream slice copies nothing
 
 
-_unpack_u64 = struct.Struct("<Q").unpack_from
-# The last block a draw read, as (seed bytes, block index, block).  One
-# tuple rebinding is atomic, so threads that race here only rehash.
-_last_block = (None, None, None)
+# The draws of the last block read, as (seed bytes, block index, draws).
+# One tuple rebinding is atomic, so threads that race here only rehash.
+_last_draws = (None, None, None)
 
 
 def uniform01(seed: FarbleSeed, index: int) -> float:
     """Deterministic uniform draw in [0, 1) with 53-bit precision.
 
-    Draw ``index`` is ``u01[index]`` of the stream: bytes ``8 * (index & 3)``
-    onwards of block ``index >> 2``.  Four consecutive draws share a block,
-    so the last block read is kept for the next draw.
+    Draw ``index`` is ``u01[index]``: draw ``index & 3`` of block
+    ``index >> 2``, whose four draws are kept for the next call.
     """
-    global _last_block
-    cached_seed, cached_index, block = _last_block
+    global _last_draws
+    cached_seed, cached_index, draws = _last_draws
     block_index = index >> 2
     if block_index != cached_index or seed.value != cached_seed:
-        if index < 0:
-            raise ValueError("draw index must be non-negative")
-        if block_index >= 1 << 64:
-            raise ValueError("draw past block 2**64 - 1 (64-bit block counter)")
-        block = keystream_block(seed, block_index)
-        _last_block = (seed.value, block_index, block)
-    return (_unpack_u64(block, 8 * (index & 3))[0] >> 11) * 2.0**-53
+        draws = block_draws(keystream_block(seed, block_index))
+        _last_draws = (seed.value, block_index, draws)
+    return draws[index & 3]
 
 
 def uniform_range(seed: FarbleSeed, index: int, lo: int, hi: int) -> int:

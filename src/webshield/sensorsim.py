@@ -28,7 +28,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .keyrand import FarbleSeed, uniform01, uniform_range
+from .keyrand import FarbleSeed, block_draws, uniform01, uniform_range
 from .timeshield import ShieldConfig, shield_stream, shield_timestamp, time_subseed
 
 GRAVITY_MS2 = 9.80665
@@ -50,7 +50,6 @@ _GRAVITY_NOISE = 0.01
 _LINEAR_NOISE = LINEAR_ACCEL_MAX_MS2 / math.sqrt(3.0)
 _GYRO_NOISE = GYRO_MAX_RAD_S / math.sqrt(3.0)
 _ORIENTATION_NOISE = math.radians(0.1)
-_NOISE_WORDS = struct.Struct("<4Q")
 
 # Readings per batch in sample_many: bounds the memory a long stream holds.
 SAMPLE_CHUNK = 1024
@@ -219,10 +218,8 @@ def init_device_state(seed: FarbleSeed) -> DeviceState:
 
 def _noise_uniforms(seed: FarbleSeed, label: str, t_ms: float) -> tuple:
     """Four keyed uniforms bound to (seed, label, t)."""
-    digest = hashlib.sha256(
-        seed.value + b"noise/" + label.encode("ascii") + struct.pack("<d", t_ms)
-    ).digest()
-    return tuple((u >> 11) * 2.0**-53 for u in _NOISE_WORDS.unpack(digest))
+    tail = b"noise/" + label.encode("ascii") + struct.pack("<d", t_ms)
+    return block_draws(hashlib.sha256(seed.value + tail).digest())
 
 
 def _noise_vec(state: DeviceState, label: str, t_ms: float, scale: float) -> tuple:

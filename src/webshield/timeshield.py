@@ -15,19 +15,14 @@ absolute boot time through them.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .keyrand import FarbleSeed, subseed, uniform01
+from .keyrand import FarbleSeed, block_draws, keystream_block, subseed, uniform01
 
 DEFAULT_QUANTUM_MS = 10.0
-
-_pack_u64 = struct.Struct("<Q").pack
-_unpack_block = struct.Struct("<4Q").unpack
 
 
 def time_subseed(seed: FarbleSeed) -> FarbleSeed:
@@ -92,15 +87,11 @@ def shield_stream(
     consecutive values that fall in the same bucket.
 
     The noise is ``uniform01(seed, bucket)``, read straight from the
-    keystream: four buckets share a block, which is hashed once from
-    the seed's prefix state.
+    keystream: four buckets share a block, whose draws are decoded once.
     """
     cfg = cfg or ShieldConfig()
     q = cfg.quantum_ms
-    copy = hashlib.sha256(seed.value).copy
-    last_bucket = last_block = None
-    words = ()
-    shielded = 0.0
+    last_bucket = last_block = None  # so the first timestamp hashes its block
     inf = math.inf  # a local: this check runs once per timestamp
     for t_ms in timestamps:
         if not 0 <= t_ms < inf:
@@ -116,12 +107,8 @@ def shield_stream(
             last_bucket = bucket
             if bucket >> 2 != last_block:
                 last_block = bucket >> 2
-                if last_block >= 1 << 64:
-                    raise ValueError("draw past block 2**64 - 1 (64-bit block counter)")
-                h = copy()
-                h.update(_pack_u64(last_block))
-                words = _unpack_block(h.digest())
-            shielded = bucket * q + ((words[bucket & 3] >> 11) * 2.0**-53) * q
+                draws = block_draws(keystream_block(seed, last_block))
+            shielded = bucket * q + draws[bucket & 3] * q
         yield shielded
 
 

@@ -850,6 +850,17 @@ class TestNbsCli:
         assert result.exit_code == 0
         assert result.stdout.startswith("AllowAndLearn")
 
+    def test_check_learn_mode_refuses_a_resolved_address(self, runner):
+        """Learn mode never resolves, so a given address would be ignored."""
+        result = runner.invoke(
+            main,
+            ["nbs", "check", "--target", "foo.example", "--resolved", "127.0.0.1",
+             "--mode", "learn"],
+        )
+        assert result.exit_code == 2
+        assert "--resolved applies only to --mode preresolve" in result.output
+        assert "AllowAndLearn" not in result.output
+
     def test_check_resolves_when_not_given(self, runner):
         result = runner.invoke(
             main,

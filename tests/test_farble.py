@@ -373,6 +373,37 @@ class TestAudioSamplesEquality:
         assert formats.read_audio(tmp_path / "a.raw") == audio
 
 
+class TestAudioSamplesPrivate:
+    """A payload checked as finite stays as it was checked: its array is
+    read-only, and a caller's writable array is not shared."""
+
+    def test_channels_are_read_only(self):
+        audio = AudioSamples(8000, [[0.1, 0.2]])
+        with pytest.raises(ValueError, match="read-only"):
+            audio.channels[0, 0] = float("nan")
+        assert audio.channels.tolist() == [[0.1, 0.2]]
+
+    @pytest.mark.parametrize("source", [
+        np.array([[0.1, 0.2]]),  # the float64 array itself would be kept
+        np.array([[0.1, 0.2, 0.3]])[:, :2],  # a view of the caller's buffer
+    ])
+    def test_later_writes_to_the_callers_array_do_not_reach_it(self, source):
+        audio = AudioSamples(8000, source)
+        source[0, 0] = float("nan")
+        assert audio.channels.tolist() == [[0.1, 0.2]]
+
+    def test_read_only_array_that_owns_its_data_is_kept(self):
+        source = np.array([[0.1, 0.2]])
+        source.flags.writeable = False
+        assert np.shares_memory(AudioSamples(8000, source).channels, source)
+
+    def test_farbled_and_read_payloads_are_read_only(self, tmp_path):
+        audio = farble_audio(SEED_A, AudioSamples(8000, [[0.1, 0.2], [0.3, 0.4]]))
+        formats.write_audio(tmp_path / "a.raw", audio)
+        for payload in (audio, formats.read_audio(tmp_path / "a.raw")):
+            assert not payload.channels.flags.writeable
+
+
 # ----------------------------------------------------------------------
 # chunked masks against the unchunked formula
 

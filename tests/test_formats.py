@@ -1,6 +1,7 @@
 """Binary media file formats used by the CLI."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ class TestBitmapFormat:
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "broken.rgba"
         path.write_bytes(b"\x01\x00")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bitmap file too short"):
             read_bitmap(path)
 
     def test_header_payload_mismatch_rejected(self, tmp_path):
@@ -59,7 +60,7 @@ class TestAudioFormat:
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "broken.pcm"
         path.write_bytes(b"\x00" * 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="audio file too short"):
             read_audio(path)
 
     def test_header_payload_mismatch_rejected(self, tmp_path):
@@ -81,3 +82,30 @@ class TestAudioFormat:
         path.write_bytes(struct.pack("<III", 8000, 0, 0))
         write_audio(path, read_audio(path))
         assert path.read_bytes() == struct.pack("<III", 8000, 0, 0)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadMemory:
+    """The readers take the header, then the payload: no slice of the
+    whole file copies the payload a second time."""
+
+    def test_bitmap_read_holds_one_payload(self, tmp_path):
+        path = tmp_path / "hd.rgba"
+        payload = 4 * 1920 * 1080
+        path.write_bytes(struct.pack("<II", 1920, 1080) + bytes(payload))
+        assert traced_peak(read_bitmap, path) <= 1.25 * payload
+
+    def test_audio_read_holds_the_file_payload_and_its_samples(self, tmp_path):
+        path = tmp_path / "clip.pcm"
+        frames = 10 * 44_100
+        path.write_bytes(struct.pack("<III", 44_100, 2, frames) + bytes(4 * 2 * frames))
+        float32, float64 = 4 * 2 * frames, 8 * 2 * frames
+        assert traced_peak(read_audio, path) <= 1.1 * (float32 + float64)

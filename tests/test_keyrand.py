@@ -16,6 +16,7 @@ from webshield.keyrand import (
     FarbleSeed,
     Origin,
     SessionKey,
+    block_draws,
     derive_seed,
     keystream_block,
     keystream_bytes,
@@ -89,6 +90,19 @@ class TestOriginNormalization:
         once = normalize_origin(raw)
         assert normalize_origin(once) == once
 
+    def test_constructor_normalizes(self):
+        """Built directly or through ``parse``, one origin keys one seed."""
+        direct, parsed = Origin("HTTPS://A.example:443/x"), Origin.parse("https://a.example")
+        assert direct == parsed
+        assert direct.value == "https://a.example"
+        session = SessionKey(bytes(32))
+        assert derive_seed(session, direct, "canvas") == derive_seed(session, parsed, "canvas")
+
+    @pytest.mark.parametrize("bad", ["", "  ", 5, None, b"https://a.example"])
+    def test_constructor_rejects_non_string_or_empty(self, bad):
+        with pytest.raises(ValueError, match="non-empty string"):
+            Origin(bad)
+
 
 class TestDeriveSeed:
     def test_deterministic(self, zero_session, origin_a):
@@ -156,6 +170,17 @@ class TestKeystream:
         assert keystream_bytes(canvas_seed, 0, 32) == expected
         expected1 = hashlib.sha256(canvas_seed.value + struct.pack("<Q", 1)).digest()
         assert keystream_bytes(canvas_seed, 32, 32) == expected1
+
+    @pytest.mark.parametrize("index", [2**64, -1])
+    def test_block_outside_the_counter_rejected(self, canvas_seed, index):
+        with pytest.raises(ValueError, match="64-bit block counter"):
+            keystream_block(canvas_seed, index)
+
+    def test_block_draws_decode_each_word(self, canvas_seed):
+        block = keystream_block(canvas_seed, 3)
+        expected = [(w >> 11) * 2.0**-53 for w in struct.unpack("<4Q", block)]
+        assert list(block_draws(block)) == expected
+        assert expected == [uniform01(canvas_seed, 12 + k) for k in range(4)]
 
     def test_negative_rejected(self, canvas_seed):
         with pytest.raises(ValueError):
