@@ -163,7 +163,9 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
 
     Pass 1 hashes seed plus dimensions plus pixel data; pass 2 XORs each
     R, G, B byte's LSB with one bit of a keystream derived from that
-    hash, one chunk of pixels at a time.  Alpha bytes pass through
+    hash, one chunk of pixels at a time.  Within a chunk the mask bits
+    are XORed in one colour column at a time, in place, so no
+    payload-sized temporary is made.  Alpha bytes pass through
     untouched, and no channel moves by more than 1.
     """
     import numpy as np
@@ -176,7 +178,9 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
         first_byte, skip = divmod(3 * lo, 8)
         stream = keystream_bytes(mask_seed, first_byte, (3 * hi + 7) // 8 - first_byte)
         bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
-        arr[lo:hi, :3] ^= bits[skip : skip + 3 * (hi - lo)].reshape(hi - lo, 3)
+        mask = bits[skip : skip + 3 * (hi - lo)].reshape(hi - lo, 3)
+        for c in range(3):  # three 1-D strided loops, not one of length 3
+            arr[lo:hi, c] ^= mask[:, c]
     return BitmapBuffer(bitmap.width, bitmap.height, arr.tobytes())
 
 

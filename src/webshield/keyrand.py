@@ -23,6 +23,7 @@ four ``u01`` draws (``block_draws``, also for timestamps and sensor noise).
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -151,10 +152,20 @@ _unpack_block = struct.Struct("<4Q").unpack
 
 
 def keystream_block(seed: FarbleSeed, index: int) -> bytes:
-    """32-byte block ``index`` of the seed's keystream."""
-    if not 0 <= index < 1 << 64:
-        raise ValueError(f"keystream block {index} is outside the 64-bit block counter")
-    return hashlib.sha256(seed.value + _pack_u64(index)).digest()
+    """32-byte block ``index`` of the seed's keystream.
+
+    An index outside ``[0, 2**64)`` raises ``ValueError``, one that is not
+    an integer ``TypeError``; the LE64 pack makes both checks.
+    """
+    try:
+        counter = _pack_u64(index)
+    except struct.error:
+        try:
+            operator.index(index)
+        except TypeError:
+            raise TypeError(f"keystream block index must be an int, not {index!r}") from None
+        raise ValueError(f"keystream block {index} is outside the 64-bit block counter") from None
+    return hashlib.sha256(seed.value + counter).digest()
 
 
 def block_draws(block: bytes) -> tuple[float, float, float, float]:

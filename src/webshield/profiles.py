@@ -84,14 +84,24 @@ PROFILES = {
     "p3": ProtectionProfile("p3", dict(_P3_ACTIONS)),
 }
 
+
+def _silence(audio: AudioSamples) -> AudioSamples:
+    """+0.0 samples of the payload's shape, handed over read-only, so
+    ``AudioSamples`` keeps them instead of copying."""
+    import numpy as np
+
+    zeros = np.zeros(audio.channels.shape)
+    zeros.flags.writeable = False
+    return AudioSamples(audio.sample_rate, zeros)
+
+
 # The value FIXED_FAKE hands back, per group, shaped after the real payload:
 # every P3 user reads the same white canvas, the same silence, the same GPU.
 _FIXED_FAKES = {
     "canvas": lambda bitmap: BitmapBuffer(
         bitmap.width, bitmap.height, b"\xff" * (4 * bitmap.width * bitmap.height)
     ),
-    # abs(): a negative sample times 0.0 is -0.0, and silence is +0.0.
-    "audio": lambda audio: AudioSamples(audio.sample_rate, abs(audio.channels * 0.0)),
+    "audio": _silence,
     "webgl": lambda _: GlStringSet(
         "Generic Vendor", "Generic Renderer", "Generic Vendor", "Generic Renderer"
     ),

@@ -216,15 +216,35 @@ def init_device_state(seed: FarbleSeed) -> DeviceState:
     )
 
 
+# Hash states after ``seed || b"noise/" || label``, keyed by (seed bytes,
+# label).  Cleared when full; threads that race here only rehash.
+_NOISE_PREFIXES_MAX = 1024
+_noise_prefixes: dict = {}
+_pack_f64 = struct.Struct("<d").pack
+
+
 def _noise_uniforms(seed: FarbleSeed, label: str, t_ms: float) -> tuple:
-    """Four keyed uniforms bound to (seed, label, t)."""
-    tail = b"noise/" + label.encode("ascii") + struct.pack("<d", t_ms)
-    return block_draws(hashlib.sha256(seed.value + tail).digest())
+    """Four keyed uniforms bound to (seed, label, t): the draws of
+    SHA-256(seed || b"noise/" || label || LE(t)).
+
+    The hashed prefix is kept per (seed, label) in a bounded module
+    memo, so each reading copies that state and hashes only its time.
+    """
+    key = (seed.value, label)
+    prefix = _noise_prefixes.get(key)
+    if prefix is None:
+        if len(_noise_prefixes) >= _NOISE_PREFIXES_MAX:
+            _noise_prefixes.clear()
+        prefix = hashlib.sha256(seed.value + b"noise/" + label.encode("ascii"))
+        _noise_prefixes[key] = prefix
+    h = prefix.copy()
+    h.update(_pack_f64(t_ms))
+    return block_draws(h.digest())
 
 
 def _noise_vec(state: DeviceState, label: str, t_ms: float, scale: float) -> tuple:
-    u = _noise_uniforms(state.seed, label, t_ms)[:3]
-    return tuple(scale * (2.0 * v - 1.0) for v in u)
+    a, b, c, _ = _noise_uniforms(state.seed, label, t_ms)
+    return (scale * (2.0 * a - 1.0), scale * (2.0 * b - 1.0), scale * (2.0 * c - 1.0))
 
 
 def _perturbed_orientation(state: DeviceState, label: str, t_ms: float) -> tuple:

@@ -44,6 +44,9 @@ class ShieldConfig:
             raise ValueError("quantum must be positive and finite")
 
 
+_DEFAULT_CFG = ShieldConfig()  # built and checked once, not per timestamp
+
+
 @dataclass(frozen=True)
 class ContextEpoch:
     """Monotonic-clock reading at context creation; fixed for its lifetime."""
@@ -67,7 +70,7 @@ def shield_timestamp(seed: FarbleSeed, t_ms: float, cfg: ShieldConfig | None = N
     constant within a bucket, so t1 <= t2 implies out1 <= out2 and
     |out - t| stays below one quantum.
     """
-    cfg = cfg or ShieldConfig()
+    cfg = cfg or _DEFAULT_CFG
     if not 0 <= t_ms < math.inf:
         raise ValueError(f"timestamp must be finite and >= 0, got {t_ms}")
     try:
@@ -89,7 +92,7 @@ def shield_stream(
     The noise is ``uniform01(seed, bucket)``, read straight from the
     keystream: four buckets share a block, whose draws are decoded once.
     """
-    cfg = cfg or ShieldConfig()
+    cfg = cfg or _DEFAULT_CFG
     q = cfg.quantum_ms
     last_bucket = last_block = None  # so the first timestamp hashes its block
     inf = math.inf  # a local: this check runs once per timestamp

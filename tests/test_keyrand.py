@@ -6,6 +6,7 @@ the byte layout, not against itself.
 """
 
 import hashlib
+import re
 import struct
 
 import pytest
@@ -174,6 +175,11 @@ class TestKeystream:
     @pytest.mark.parametrize("index", [2**64, -1])
     def test_block_outside_the_counter_rejected(self, canvas_seed, index):
         with pytest.raises(ValueError, match="64-bit block counter"):
+            keystream_block(canvas_seed, index)
+
+    @pytest.mark.parametrize("index", [1.5, "3"])
+    def test_block_index_that_is_not_an_int_rejected(self, canvas_seed, index):
+        with pytest.raises(TypeError, match=re.escape(repr(index))):
             keystream_block(canvas_seed, index)
 
     def test_block_draws_decode_each_word(self, canvas_seed):

@@ -1,5 +1,8 @@
 """Protection profile tables and the action dispatch."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from webshield.farble import AudioSamples, BitmapBuffer
@@ -71,6 +74,22 @@ class TestProtect:
         fake = protect(ProtectionAction.FIXED_FAKE, "audio", audio, self._must_not_lie)
         assert fake.sample_rate == 8000
         assert fake.channels.tolist() == [[0.0] * 3, [0.0] * 3]
+
+    def test_fixed_fake_audio_is_positive_zero_read_only_and_not_copied(self):
+        samples = np.random.default_rng(5).uniform(-1, 1, (2, 44_100))
+        samples.flags.writeable = False
+        audio = AudioSamples(44_100, samples)
+        tracemalloc.start()
+        try:
+            fake = protect(ProtectionAction.FIXED_FAKE, "audio", audio, self._must_not_lie)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (fake.channels == 0.0).all() and not np.signbit(fake.channels).any()
+        assert fake.channels.shape == audio.channels.shape
+        assert not fake.channels.flags.writeable
+        # the silence itself plus the constructor's finiteness mask, no copy
+        assert peak < 1.2 * audio.channels.nbytes
 
     def test_fixed_fake_gpu_strings_are_generic(self):
         fake = protect(ProtectionAction.FIXED_FAKE, "webgl", None, self._must_not_lie)

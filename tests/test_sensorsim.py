@@ -8,13 +8,14 @@ loop.
 import hashlib
 import math
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from webshield.keyrand import Origin, SessionKey, derive_seed
+from webshield.keyrand import Origin, SessionKey, block_draws, derive_seed
 from webshield import sensorsim
 from webshield.sensorsim import (
     AMBIENT_STEP_LUX,
@@ -237,6 +238,24 @@ class TestGolden:
                     reading = sample(state, kind, i * 37.5, shield_cfg)
                     digest.update(repr((kind.value, reading.value, reading.timestamp_ms)).encode())
         assert digest.hexdigest() == self.ALL_KINDS_SHA256
+
+
+class TestNoiseMemo:
+    def test_bounded_memo_gives_the_prefix_free_draws(self, monkeypatch):
+        """With room for two prefixes, three seeds times two labels in
+        alternating order evict each other; every reading still equals
+        the draws of one hash over the whole input."""
+        monkeypatch.setattr(sensorsim, "_NOISE_PREFIXES_MAX", 2)
+        monkeypatch.setattr(sensorsim, "_noise_prefixes", {})
+        seed_c = derive_seed(SessionKey(bytes(32)), Origin.parse("https://c.example"), "sensor")
+        for t_ms in (0.0, 37.5, 37.5, 1e12):
+            for seed in (SEED, SEED_B, seed_c):
+                for label in ("gravity", "linear"):
+                    digest = hashlib.sha256(
+                        seed.value + b"noise/" + label.encode("ascii") + struct.pack("<d", t_ms)
+                    ).digest()
+                    assert sensorsim._noise_uniforms(seed, label, t_ms) == block_draws(digest)
+                    assert len(sensorsim._noise_prefixes) <= 2
 
 
 # Times on both sides of bucket edges, out of order, repeated, as ints,

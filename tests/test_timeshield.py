@@ -96,6 +96,19 @@ class TestShieldTimestamp:
         for earlier, later in zip(outputs, outputs[1:]):
             assert earlier <= later
 
+    @pytest.mark.parametrize("randomize", [False, True], ids=["plain", "noisy"])
+    def test_omitted_config_is_the_default_config(self, randomize):
+        """An explicit config, either way, leaves the shared default as
+        ``ShieldConfig()`` builds it."""
+        cfg = ShieldConfig(randomize=randomize)
+        times = [0.0, 9.99, 10.0, 123.456, 98_765.4]
+        for t in times:
+            default = shield_timestamp(SEED, t, ShieldConfig())
+            explicit = shield_timestamp(SEED, t, cfg)
+            assert explicit == (default if randomize else t // 10.0 * 10.0)
+            assert shield_timestamp(SEED, t) == default
+        assert list(shield_stream(SEED, times)) == list(shield_stream(SEED, times, ShieldConfig()))
+
 
 class TestShieldStream:
     def test_matches_scalar_operation(self):
