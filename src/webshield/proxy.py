@@ -8,6 +8,10 @@ pass once, and a known hostname that now resolves across the boundary
 is blocked.  Replies are relayed as sent, byte for byte, until the
 target closes.
 
+Connections are served by a capped pool of reused worker threads,
+started only when no worker is idle.  A connection that arrives while
+``MAX_CONNECTIONS`` are being served gets a bare 503 and is closed.
+
 Decisions stream to a JSONL log.  Repeated blocks of the same target
 within a short window coalesce into one line carrying a count, so a
 page hammering a blocked host does not flood the log.
@@ -16,6 +20,7 @@ page hammering a blocked host does not flood the log.
 from __future__ import annotations
 
 import json
+import queue
 import re
 import select
 import socket
@@ -23,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -34,6 +39,10 @@ COALESCE_WINDOW_S = 10.0
 UPSTREAM_TIMEOUT_S = 10.0
 CLIENT_TIMEOUT_S = 10.0  # a client silent this long mid-request is disconnected
 MAX_BODY_BYTES = 16 * 1024 * 1024  # larger declared bodies get a 413
+MAX_CONNECTIONS = 128  # connections served at once; one more gets a 503
+
+_BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\n"
+               b"Content-Length: 0\r\nConnection: close\r\n\r\n")
 
 _HOP_BY_HOP = {
     "connection",
@@ -122,6 +131,22 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # silence default stderr chatter
         pass
 
+    def parse_request(self):
+        """The base class's parse; a blank request line gets a 400, not silence."""
+        if super().parse_request():
+            return True
+        if not self.requestline.split():  # the base class closed without a reply
+            self.send_error(400, "Bad request syntax (blank request line)")
+        return False
+
+    def send_response(self, code, message=None):
+        # The base class leaves out the status line and headers while the
+        # request version reads HTTP/0.9: its default until a version is
+        # parsed, and what a request line ending "HTTP/0.9" sets.
+        if self.request_version == "HTTP/0.9":
+            self.request_version = "HTTP/1.1"
+        super().send_response(code, message)
+
     def _reply(self, status: int, body: str, headers: dict | None = None) -> None:
         """Send a complete response and close the connection."""
         payload = body.encode()
@@ -166,8 +191,11 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     # plain HTTP forwarding
 
     def _handle_http(self):
-        length_text = (self.headers.get("Content-Length") or "").strip() or "0"
+        lengths = {value.strip() for value in self.headers.get_all("Content-Length", [])}
+        length_text = next(iter(lengths), "") or "0"
         try:
+            if len(lengths) > 1:  # RFC 9112 section 6.3: an unrecoverable error
+                raise ValueError(f"conflicting Content-Length values: {sorted(lengths)!r}")
             if not self.path.startswith(("http://", "https://")):
                 raise ValueError("proxy requires absolute-form request targets")
             if _CONTROL_OR_SPACE.search(self.path):
@@ -266,10 +294,8 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
 
-class BoundaryProxy(ThreadingHTTPServer):
+class BoundaryProxy(HTTPServer):
     """Long-running filtering proxy service."""
-
-    daemon_threads = True
 
     def __init__(self, config: ProxyConfig):
         if ":" in config.listen_host:  # an IPv6 literal, without brackets
@@ -283,6 +309,40 @@ class BoundaryProxy(ThreadingHTTPServer):
             self.server_close()
             raise
         self._thread: threading.Thread | None = None
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self._idle = threading.Semaphore(0)  # one token per worker waiting for a job
+        self._jobs = queue.SimpleQueue()
+        self._workers = 0  # changed only by the serve thread
+
+    def process_request(self, request, client_address):
+        """Hand the connection to an idle worker, start one, or answer 503."""
+        if not self._slots.acquire(blocking=False):
+            try:
+                request.settimeout(0)
+                request.send(_BUSY_REPLY)
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        self._jobs.put((request, client_address))
+        if not self._idle.acquire(blocking=False):
+            self._workers += 1
+            threading.Thread(target=self._work, daemon=True).start()
+
+    def _work(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            request, client_address = job
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # idle before the client sees the close, so its next
+                # connection finds this worker, and before the slot is
+                # free, so the pool never outgrows MAX_CONNECTIONS
+                self._idle.release()
+                self.shutdown_request(request)
+                self._slots.release()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -306,6 +366,9 @@ class BoundaryProxy(ThreadingHTTPServer):
     def stop(self) -> None:
         self.shutdown()
         self.server_close()
+        # idle workers end at once; a busy one (a tunnel) ends after its job
+        for _ in range(self._workers):
+            self._jobs.put(None)
         if self._thread:
             self._thread.join(timeout=5)
         self.log.close()

@@ -4,17 +4,22 @@ A counting stub server stands in for the local target; the zero-leak
 checks assert that blocked requests never open a connection to it.
 """
 
+import contextlib
 import http.client
 import json
+import re
 import socket
+import sys
 import threading
 import time
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webshield import proxy as proxy_module
-from webshield.nbs import AddressClass, NbsMode
+from webshield.nbs import AddressClass, NbsMode, classify_address
 from webshield.proxy import (
     BLOCK_REASON_HEADER,
     MAX_BODY_BYTES,
@@ -370,10 +375,38 @@ class TestLearnOnReplyMode:
             proxy.stop()
 
 
+# Request heads built from parts a hostile client might mix, or plain bytes;
+# "{port}" stands for the counting stub's port.
+_TOKEN = st.text(st.characters(max_codepoint=255), max_size=12)
+_ANY_REQUEST = st.one_of(
+    st.binary(min_size=1, max_size=64),
+    st.tuples(
+        st.sampled_from(["GET", "POST", "CONNECT", "HEAD", "PRI", "BREW"]) | _TOKEN,
+        st.sampled_from([
+            "http://127.0.0.1:{port}/", "http://localhost:{port}/a?b", "127.0.0.1:{port}",
+            "localhost:{port}", "[::1]:{port}", "http://[::ffff:127.0.0.1]:{port}/",
+            "http://2130706433:{port}/", "0x7f.1:{port}", "http://x..y/", "*", "/relative",
+            "http://93.184.216.34/", "93.184.216.34:443",
+        ]) | _TOKEN,
+        st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/0.9", "HTTP/2.0", "HTTP/1", ""]) | _TOKEN,
+        st.lists(st.sampled_from([
+            "Content-Length: 1", "Content-Length: 30", "Content-Length: zz",
+            "Content-Length: 99999999999", "Transfer-Encoding: chunked",
+            "Expect: 100-continue", "Connection: keep-alive", "Host: localhost",
+        ]) | _TOKEN, max_size=4),
+        st.sampled_from(["\r\n", "\n", ""]),
+        _TOKEN,
+    ).map(lambda p: (" ".join(p[:3]) + "\r\n" + "".join(h + "\r\n" for h in p[3])
+                     + p[4] + p[5]).encode("latin-1")),
+)
+# an interim 100 Continue may come before the final status line
+_STATUS_LINE = re.compile(rb"(?:HTTP/1\.1 100 Continue\r\n\r\n)?HTTP/1\.1 (\d{3}) ")
+
+
 def raw_request(proxy_addr, head: str, timeout=2.0) -> bytes:
     """Send one hand-written request head; return everything until close."""
     with socket.create_connection(proxy_addr, timeout=timeout) as sock:
-        sock.sendall(head.encode())
+        sock.sendall(head.encode("latin-1"))
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
@@ -401,10 +434,19 @@ class TestMalformedRequests:
         ("CONNECT [::1 HTTP/1.1\r\n\r\n", 400),
         ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
          "5\r\nhello\r\n0\r\n\r\n", 411),
+        ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: 1\r\n"
+         "Content-Length: 30\r\n\r\n" + "a" * 30, 400),
+        ("\x00\xff\r\n\r\n", 400),
+        ("\r\n\r\n", 400),
+        ("GET http://127.0.0.1:{port}/ HTTP/2.0\r\n\r\n", 505),
+        ("PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n", 505),
+        ("GET http://127.0.0.1:abc/ HTTP/0.9\r\n\r\n", 400),
     ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
             "connect-port-abc", "connect-port-99999", "connect-bare-v6", "length-zz",
             "length-negative", "length-huge", "path-control-char", "empty-v6-host",
-            "empty-host", "connect-empty-host", "connect-unclosed-bracket", "chunked-body"])
+            "empty-host", "connect-empty-host", "connect-unclosed-bracket", "chunked-body",
+            "length-conflict", "binary-request-line", "blank-request-line", "http2-version",
+            "http2-preface", "http09-version"])
     def test_bad_request_answered_4xx_and_proxy_keeps_serving(
         self, stub, tmp_path, head, expected
     ):
@@ -442,6 +484,51 @@ class TestMalformedRequests:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert stub.connections == 0
         assert log.read_text() == ""
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_any_request_bytes_get_a_status_line(self, stub, capfd, monkeypatch):
+        """Whatever a client sends, it gets a status line and the proxy
+        opens no connection across the boundary."""
+        real_getaddrinfo, real_connect = socket.getaddrinfo, socket.create_connection
+
+        def resolve(host, port, *args, **kwargs):  # names resolve to loopback, with no query
+            try:
+                return real_getaddrinfo(host, port, *args,
+                                        **dict(kwargs, flags=socket.AI_NUMERICHOST))
+            except socket.gaierror:
+                return [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", port))]
+
+        upstreams = []
+
+        def connect(address, *args, **kwargs):  # only the proxy itself is reachable
+            if address == proxy.address:
+                return real_connect(address, *args, **kwargs)
+            upstreams.append(address[0])
+            raise ConnectionRefusedError("no upstream in this test")
+
+        monkeypatch.setattr(socket, "getaddrinfo", resolve)
+        monkeypatch.setattr(socket, "create_connection", connect)
+
+        @settings(max_examples=60, deadline=None)
+        @given(_ANY_REQUEST)
+        def check(raw):
+            with socket.create_connection(proxy.address, timeout=2.0) as sock:
+                sock.sendall(raw.replace(b"{port}", str(stub.port).encode()))
+                sock.shutdown(socket.SHUT_WR)  # a head cut short ends here
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            status = _STATUS_LINE.match(reply)
+            assert status, reply[:80]
+            assert int(status[1]) in {200, 400, 403, 411, 413, 414, 431, 501, 502, 503, 505}
+
+        proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
+        try:
+            check()
+        finally:
+            proxy.stop()
+        assert stub.connections == 0
+        assert all(classify_address(host) is AddressClass.PUBLIC for host in upstreams)
         assert "Traceback" not in capfd.readouterr().err
 
     def test_client_silent_mid_head_is_disconnected(self, tmp_path, capfd, monkeypatch):
@@ -676,17 +763,116 @@ class TestDecisionLog:
         assert hosts == ["blocked.example"]
 
 
-def test_proxy_runs_one_thread_of_its_own_and_stops_it():
-    before = set(threading.enumerate())
+def test_proxy_runs_one_thread_of_its_own_and_stops_it(stub, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
     try:
-        assert len(set(threading.enumerate()) - before) == 1  # the serve thread
+        assert len(started) == 1  # the serve thread
+        for _ in range(20):
+            reply = raw_request(
+                proxy.address, f"GET http://127.0.0.1:{stub.port}/probe HTTP/1.1\r\n\r\n"
+            )
+            assert reply.startswith(b"HTTP/1.1 403 ")
+        assert len(started) == 2  # a worker is idle again before its client sees the close
     finally:
-        started = time.monotonic()
+        began = time.monotonic()
         proxy.stop()
-        elapsed = time.monotonic() - started
-    assert set(threading.enumerate()) - before == set()
+        elapsed = time.monotonic() - began
     assert elapsed < 1.0  # shutdown polls every 0.05 s
+    for thread in started:
+        thread.join(timeout=1.0)
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_connection_past_the_cap_gets_503_at_once(stub, tmp_path, monkeypatch):
+    """Each open tunnel holds a worker; past MAX_CONNECTIONS a client is
+    refused at once, unlogged, and served again once a tunnel closes."""
+    monkeypatch.setattr(proxy_module, "MAX_CONNECTIONS", 2)
+    monkeypatch.setattr(proxy_module._ProxyHandler, "timeout", 0.5)
+    log = tmp_path / "decisions.jsonl"
+    proxy = run_proxy(ProxyConfig(
+        mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK, log_path=log
+    ))
+    try:
+        with socket.create_server(("127.0.0.1", 0)) as target, \
+                contextlib.ExitStack() as held:
+            target.settimeout(5)
+            tunnels = []
+            for _ in range(2):
+                client = held.enter_context(socket.create_connection(proxy.address, timeout=5))
+                client.sendall(f"CONNECT 127.0.0.1:{target.getsockname()[1]} HTTP/1.1\r\n\r\n"
+                               .encode())
+                assert client.recv(65536).startswith(b"HTTP/1.1 200 ")
+                held.enter_context(target.accept()[0])
+                tunnels.append(client)
+            began = time.monotonic()
+            assert raw_request(proxy.address, "") == (
+                b"HTTP/1.1 503 Service Unavailable\r\n"
+                b"Content-Length: 0\r\nConnection: close\r\n\r\n"
+            )
+            assert time.monotonic() - began < 0.4  # not left to the client deadline
+            assert len(log.read_text().splitlines()) == 2  # the tunnels' Allow lines
+            tunnels[0].close()
+            deadline = time.monotonic() + 2.0
+            # the freed worker releases its slot just after closing the tunnel
+            while (reply := raw_request(
+                proxy.address, f"GET http://127.0.0.1:{stub.port}/next HTTP/1.1\r\n\r\n"
+            )).startswith(b"HTTP/1.1 503 ") and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert reply.startswith(b"HTTP/1.1 200 ")
+    finally:
+        proxy.stop()
+
+
+def test_pool_never_outgrows_the_cap_under_load(stub, monkeypatch):
+    """Many clients at once, with thread switches forced often: no more
+    workers than MAX_CONNECTIONS, and each client gets a 403 or a 503."""
+    monkeypatch.setattr(proxy_module, "MAX_CONNECTIONS", 3)
+    workers = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        if threading.current_thread() is not threading.main_thread():
+            workers.append(thread)  # started by the serve thread
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    head = f"GET http://127.0.0.1:{stub.port}/ HTTP/1.1\r\n\r\n".encode()
+    statuses = []
+
+    def client():
+        for _ in range(25):
+            with socket.create_connection(proxy.address, timeout=5) as sock:
+                sock.sendall(head)
+                reply = b""
+                with contextlib.suppress(ConnectionResetError):  # a 503 leaves the head unread
+                    while chunk := sock.recv(65536):
+                        reply += chunk
+            statuses.append(reply[:13])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
+    try:
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in clients)
+    finally:
+        sys.setswitchinterval(interval)
+        proxy.stop()
+    assert 1 <= len(workers) <= 3
+    assert len(statuses) == 8 * 25
+    assert set(statuses) <= {b"HTTP/1.1 403 ", b"HTTP/1.1 503 "}
 
 
 def test_unopenable_log_closes_the_bound_socket(tmp_path):

@@ -17,7 +17,14 @@ The output keeps the keys of the earlier BENCH files: per workload and
 side the median, quartiles and runs of each end-to-end metric, failed
 and attempted operations, the child's wins per metric, the digest of
 every run, the machine, an optional claim with its verdict, and an
-optional traced run per side.  Per workload, ``same_outputs`` is true
+optional traced run per side.  Next to the end-to-end metrics, each side
+keeps the same summary of every ``workload_metrics`` value of
+``run.py``'s detail line (``proxy_p50_ms``, ``proxy_req_per_s``,
+``time_shield_ms``, ...), so a layer claim rests on the same pairs.
+Those figures time whole requests and commands from outside the
+program, so they also see costs no traced span covers: the proxy's
+``proxy.request`` span starts inside the handler, after the connection
+has reached a thread.  Per workload, ``same_outputs`` is true
 iff both sides' digests agree at every seed; a claim on a workload whose
 outputs differ is not met, and each such workload gets a warning on
 stderr.  The tool only reads ``run.py``'s output; it changes no bound,
@@ -142,6 +149,10 @@ def main(argv=None) -> int:
                                           for r in side_runs]) for name in lower}
                 metrics["failed_ops"] = sum(r["result"]["failed"] for r in side_runs)
                 metrics["attempted_ops"] = sum(r["result"]["attempted"] for r in side_runs)
+                metrics["workload_metrics"] = {
+                    name: summary([r["detail"]["workload_metrics"][name]["value"]
+                                   for r in side_runs])
+                    for name in side_runs[0]["detail"]["workload_metrics"]}
                 entry[side] = metrics
             entry["child_wins"] = {
                 name: sum((c < p) if is_lower else (c > p) for p, c in zip(
