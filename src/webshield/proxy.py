@@ -39,7 +39,13 @@ COALESCE_WINDOW_S = 10.0
 UPSTREAM_TIMEOUT_S = 10.0
 CLIENT_TIMEOUT_S = 10.0  # a client silent this long mid-request is disconnected
 MAX_BODY_BYTES = 16 * 1024 * 1024  # larger declared bodies get a 413
-MAX_CONNECTIONS = 128  # connections served at once; one more gets a 503
+# Connections served at once; one more gets a 503.  One browser at its
+# defaults stays below it: Firefox opens at most 900 HTTP connections
+# (network.http.max-connections), counting tunnels through a proxy per
+# origin rather than per proxy, plus at most 200 WebSockets
+# (network.websocket.max-connections); Chrome opens at most 32 to one
+# proxy (the MaxConnectionsPerProxy policy's default).
+MAX_CONNECTIONS = 1100
 
 _BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\n"
                b"Content-Length: 0\r\nConnection: close\r\n\r\n")
@@ -309,25 +315,26 @@ class BoundaryProxy(HTTPServer):
             self.server_close()
             raise
         self._thread: threading.Thread | None = None
-        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         self._idle = threading.Semaphore(0)  # one token per worker waiting for a job
         self._jobs = queue.SimpleQueue()
         self._workers = 0  # changed only by the serve thread
 
     def process_request(self, request, client_address):
         """Hand the connection to an idle worker, start one, or answer 503."""
-        if not self._slots.acquire(blocking=False):
-            try:
-                request.settimeout(0)
-                request.send(_BUSY_REPLY)
-            except OSError:
-                pass
-            self.shutdown_request(request)
-            return
-        self._jobs.put((request, client_address))
         if not self._idle.acquire(blocking=False):
-            self._workers += 1
+            if self._workers >= MAX_CONNECTIONS:
+                try:
+                    request.settimeout(0)
+                    request.send(_BUSY_REPLY)
+                except OSError:
+                    pass
+                self.shutdown_request(request)
+                return
+            # started before the job is queued: if the start raises, the
+            # caller closes the connection and the pool is as it was
             threading.Thread(target=self._work, daemon=True).start()
+            self._workers += 1
+        self._jobs.put((request, client_address))
 
     def _work(self) -> None:
         while (job := self._jobs.get()) is not None:
@@ -337,12 +344,10 @@ class BoundaryProxy(HTTPServer):
             except Exception:
                 self.handle_error(request, client_address)
             finally:
-                # idle before the client sees the close, so its next
-                # connection finds this worker, and before the slot is
-                # free, so the pool never outgrows MAX_CONNECTIONS
+                # idle before the client sees the close, so that its next
+                # connection finds this worker instead of starting one
                 self._idle.release()
                 self.shutdown_request(request)
-                self._slots.release()
 
     @property
     def address(self) -> tuple[str, int]:

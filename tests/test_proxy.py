@@ -821,7 +821,7 @@ def test_connection_past_the_cap_gets_503_at_once(stub, tmp_path, monkeypatch):
             assert len(log.read_text().splitlines()) == 2  # the tunnels' Allow lines
             tunnels[0].close()
             deadline = time.monotonic() + 2.0
-            # the freed worker releases its slot just after closing the tunnel
+            # the freed worker is idle again once its handler has seen the close
             while (reply := raw_request(
                 proxy.address, f"GET http://127.0.0.1:{stub.port}/next HTTP/1.1\r\n\r\n"
             )).startswith(b"HTTP/1.1 503 ") and time.monotonic() < deadline:
@@ -829,6 +829,32 @@ def test_connection_past_the_cap_gets_503_at_once(stub, tmp_path, monkeypatch):
             assert reply.startswith(b"HTTP/1.1 200 ")
     finally:
         proxy.stop()
+
+
+def test_failed_worker_start_costs_only_its_connection(stub, monkeypatch, capsys):
+    """A worker that cannot start leaves no job queued and no worker
+    counted: at a cap of one, the next connection is still served."""
+    monkeypatch.setattr(proxy_module, "MAX_CONNECTIONS", 1)
+    proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
+    failures = [RuntimeError("can't start new thread")]
+    start = threading.Thread.start
+
+    def failing_start(thread):
+        if failures:
+            raise failures.pop()
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    probe = f"GET http://127.0.0.1:{stub.port}/probe HTTP/1.1\r\n\r\n"
+    try:
+        with contextlib.suppress(ConnectionResetError):  # closed with the head unread
+            assert raw_request(proxy.address, probe) == b""
+        for _ in range(3):
+            assert raw_request(proxy.address, probe).startswith(b"HTTP/1.1 403 ")
+    finally:
+        proxy.stop()
+    assert capsys.readouterr().err.count("Traceback") == 1  # the failed start only
+    assert stub.connections == 0
 
 
 def test_pool_never_outgrows_the_cap_under_load(stub, monkeypatch):
