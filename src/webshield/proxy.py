@@ -60,6 +60,7 @@ _HOP_BY_HOP = {
     "upgrade",
     "proxy-authorization",
     "proxy-authenticate",
+    "expect",  # the upstream gets the whole body at once; the proxy answers it
 }
 _CONTROL_OR_SPACE = re.compile("[\x00-\x20\x7f]")
 
@@ -137,13 +138,29 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # silence default stderr chatter
         pass
 
+    expects_continue = False  # set by handle_expect_100
+
     def parse_request(self):
-        """The base class's parse; a blank request line gets a 400, not silence."""
+        """The base class's parse, after skipping one empty line before the
+        request line (RFC 9112 section 2.2); a blank request line gets a
+        400, not silence."""
+        if self.raw_requestline in (b"\r\n", b"\n"):
+            self.raw_requestline = self.rfile.readline(65537)
+            if len(self.raw_requestline) > 65536:  # as handle_one_request checks
+                self.requestline = self.request_version = self.command = ""
+                self.send_error(414)
+                return False
         if super().parse_request():
             return True
         if not self.requestline.split():  # the base class closed without a reply
             self.send_error(400, "Bad request syntax (blank request line)")
         return False
+
+    def handle_expect_100(self):
+        # Sent, if at all, once the request is allowed and its upstream is
+        # connected: a blocked or refused request gets only its final reply.
+        self.expects_continue = True
+        return True
 
     def send_response(self, code, message=None):
         # The base class leaves out the status line and headers while the
@@ -232,6 +249,9 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         if upstream is None:
             return
         with upstream:
+            if self.expects_continue:
+                self.send_response_only(100)
+                self.end_headers()
             body = self.rfile.read(length)
             try:
                 upstream.sendall(head + body)

@@ -143,7 +143,7 @@ def _normalize(q: tuple) -> tuple:
     # An explicit left-to-right sum, as in SineBank.value.
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    return tuple(c / n for c in q)
+    return (w / n, x / n, y / n, z / n)
 
 
 def _direction(u_z: float, u_azimuth: float, length: float = 1.0) -> tuple:
@@ -250,26 +250,25 @@ def _noise_vec(state: DeviceState, label: str, t_ms: float, scale: float) -> tup
 def _perturbed_orientation(state: DeviceState, label: str, t_ms: float) -> tuple:
     ua, ub, _, ud = _noise_uniforms(state.seed, label, t_ms)
     half = ud * _ORIENTATION_NOISE / 2.0
-    dq = (math.cos(half), *(math.sin(half) * c for c in _direction(ua, ub)))
+    s, (x, y, z) = math.sin(half), _direction(ua, ub)
+    dq = (math.cos(half), s * x, s * y, s * z)
     return _normalize(_quat_mul(dq, state.orientation))
 
 
 def _value(state: DeviceState, kind: SensorKind, t_ms: float):
     if kind is SensorKind.MAGNETOMETER:
         t_s = t_ms / 1000.0
-        return tuple(
-            base + bank.value(t_s)
-            for base, bank in zip(state.mag_baseline, state.mag_banks)
-        )
+        (bx, by, bz), (mx, my, mz) = state.mag_baseline, state.mag_banks
+        return (bx + mx.value(t_s), by + my.value(t_s), bz + mz.value(t_s))
     if kind is SensorKind.LINEAR_ACCELERATION:
         return _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
     if kind in (SensorKind.GRAVITY, SensorKind.ACCELEROMETER):
-        noise = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
-        value = tuple(b + n for b, n in zip(state.gravity, noise))
-        if kind is SensorKind.ACCELEROMETER:
-            linear = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
-            value = tuple(g + a for g, a in zip(value, linear))
-        return value
+        gx, gy, gz = state.gravity
+        nx, ny, nz = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
+        if kind is SensorKind.GRAVITY:
+            return (gx + nx, gy + ny, gz + nz)
+        ax, ay, az = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
+        return (gx + nx + ax, gy + ny + ay, gz + nz + az)
     if kind is SensorKind.GYROSCOPE:
         return _noise_vec(state, "gyro", t_ms, _GYRO_NOISE)
     if kind is SensorKind.ORIENTATION_ABS:
@@ -279,10 +278,13 @@ def _value(state: DeviceState, kind: SensorKind, t_ms: float):
     return state.ambient_lux  # SensorKind.AMBIENT_LIGHT
 
 
+_KINDS = {kind.value: kind for kind in SensorKind}  # a member hashes as its value
+
+
 def _sensor_kind(kind: SensorKind | str) -> SensorKind:
     try:
-        return SensorKind(kind)
-    except ValueError:
+        return _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError(f"unknown sensor kind: {kind!r}") from None
 
 
@@ -298,8 +300,7 @@ def sample(
     same instant sees the identical reading.  The reported timestamp is
     the shielded context-relative time.
     """
-    if not isinstance(kind, SensorKind):
-        kind = _sensor_kind(kind)
+    kind = _sensor_kind(kind)
     if not 0 <= t_ms < math.inf:
         raise ValueError(f"sample time must be finite and >= 0, got {t_ms}")
     value = _value(state, kind, t_ms)
@@ -373,8 +374,7 @@ def sample_many(
     overflowing timestamp raises ``sample``'s error once the readings
     before it have been yielded.
     """
-    if not isinstance(kind, SensorKind):
-        kind = _sensor_kind(kind)
+    kind = _sensor_kind(kind)
     times = iter(t_ms_seq)
     inf = math.inf
     while chunk := list(islice(times, SAMPLE_CHUNK)):

@@ -403,7 +403,7 @@ def test_criterion_7_proxy_integration():
             assert stub.connections == 0, "pre-resolve mode leaked a connection"
         finally:
             process.terminate()
-            process.wait(timeout=10)
+            process.communicate(timeout=10)
 
         # learn-on-reply: first request passes, second is blocked
         process, addr = _spawn_proxy("learn")
@@ -416,7 +416,7 @@ def test_criterion_7_proxy_integration():
             assert stub.connections == 1
         finally:
             process.terminate()
-            process.wait(timeout=10)
+            process.communicate(timeout=10)
     finally:
         stub.close()
     report(7, "proxy blocks localhost scans (zero leak) and learns on reply", started, 30.0)

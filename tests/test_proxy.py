@@ -37,13 +37,16 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 STUB_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 7\r\nConnection: close\r\n\r\nstub-ok"
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
 class CountingStub:
     """Minimal HTTP server on loopback that counts accepted connections.
 
     On each connection it records the request head it reads, then sends
-    ``parts`` and closes, waiting for ``release`` between parts.
+    ``parts`` and closes, waiting for ``release`` between parts.  A head
+    that expects ``100-continue`` first gets one, as from an HTTP/1.1
+    origin.
     """
 
     def __init__(self, *parts: bytes):
@@ -70,6 +73,8 @@ class CountingStub:
                     while b"\r\n\r\n" not in head and (data := conn.recv(65536)):
                         head += data
                     self.received += head
+                    if b"\r\nexpect: 100-continue\r\n" in head.lower():
+                        conn.sendall(CONTINUE)
                     for i, part in enumerate(self.parts):
                         if i:
                             self.release.wait(5)
@@ -441,12 +446,15 @@ class TestMalformedRequests:
         ("GET http://127.0.0.1:{port}/ HTTP/2.0\r\n\r\n", 505),
         ("PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n", 505),
         ("GET http://127.0.0.1:abc/ HTTP/0.9\r\n\r\n", 400),
+        ("\r\n\r\nGET http://127.0.0.1:{port}/ HTTP/1.1\r\n\r\n", 400),
+        # exactly the longest line read: nothing is left unread to reset the reply
+        ("\r\nGET http://127.0.0.1/" + "a" * (65537 - 21), 414),
     ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
             "connect-port-abc", "connect-port-99999", "connect-bare-v6", "length-zz",
             "length-negative", "length-huge", "path-control-char", "empty-v6-host",
             "empty-host", "connect-empty-host", "connect-unclosed-bracket", "chunked-body",
             "length-conflict", "binary-request-line", "blank-request-line", "http2-version",
-            "http2-preface", "http09-version"])
+            "http2-preface", "http09-version", "two-empty-lines", "long-line-after-empty-line"])
     def test_bad_request_answered_4xx_and_proxy_keeps_serving(
         self, stub, tmp_path, head, expected
     ):
@@ -531,6 +539,20 @@ class TestMalformedRequests:
         assert all(classify_address(host) is AddressClass.PUBLIC for host in upstreams)
         assert "Traceback" not in capfd.readouterr().err
 
+    @pytest.mark.parametrize("empty_line", ["\r\n", "\n"])
+    def test_one_empty_line_before_the_request_line_is_skipped(self, stub, empty_line):
+        proxy = run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+        try:
+            reply = raw_request(
+                proxy.address, f"{empty_line}GET http://127.0.0.1:{stub.port}/ HTTP/1.1\r\n\r\n"
+            )
+        finally:
+            proxy.stop()
+        assert reply == STUB_OK
+        assert stub.received.startswith(b"GET / HTTP/1.1\r\n")
+
     def test_client_silent_mid_head_is_disconnected(self, tmp_path, capfd, monkeypatch):
         # the shipped handler carries the deadline; the test only shortens it
         assert proxy_module._ProxyHandler.timeout == proxy_module.CLIENT_TIMEOUT_S
@@ -580,6 +602,57 @@ class TestMalformedRequests:
             assert stub.connections == 1
         finally:
             proxy.stop()
+
+
+# (mode, origin class, target host): the first two block the request, the
+# last two allow it (learn mode passes a name on first contact).
+_BLOCKED = [(NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, "127.0.0.1"),
+            (NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "127.0.0.1")]
+_ALLOWED = [(NbsMode.PRE_RESOLVE, AddressClass.LOOPBACK, "127.0.0.1"),
+            (NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "localhost")]
+
+
+class TestExpectContinue:
+    """A client that sends ``Expect: 100-continue`` waits for a reply
+    before its body: it gets a 100 only when the body will be forwarded."""
+
+    HEAD = ("POST http://{host}:{port}/up HTTP/1.1\r\nExpect: 100-continue\r\n"
+            "Content-Length: 5\r\n\r\n")
+
+    @pytest.mark.parametrize("mode, origin, host", _BLOCKED, ids=["pre-resolve", "learn"])
+    def test_blocked_request_gets_only_its_403(self, stub, tmp_path, mode, origin, host):
+        log = tmp_path / "decisions.jsonl"
+        proxy = run_proxy(ProxyConfig(mode=mode, origin_class=origin, log_path=log))
+        try:
+            reply = raw_request(proxy.address, self.HEAD.format(host=host, port=stub.port))
+        finally:
+            proxy.stop()
+        assert reply.startswith(b"HTTP/1.1 403 ")
+        assert CONTINUE not in reply
+        assert stub.connections == 0
+        [line] = log.read_text().splitlines()
+        assert json.loads(line)["decision"] == "Block"
+
+    @pytest.mark.parametrize("mode, origin, host", _ALLOWED, ids=["pre-resolve", "learn"])
+    def test_allowed_request_gets_one_100_before_its_body(self, stub, mode, origin, host):
+        proxy = run_proxy(ProxyConfig(mode=mode, origin_class=origin))
+        try:
+            with socket.create_connection(proxy.address, timeout=2) as sock:
+                sock.sendall(self.HEAD.format(host=host, port=stub.port).encode())
+                interim = b""
+                # a socket.timeout here means the client was left waiting
+                while not interim.endswith(b"\r\n\r\n") and (byte := sock.recv(1)):
+                    interim += byte
+                assert interim == CONTINUE
+                sock.sendall(b"hello")
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        finally:
+            proxy.stop()
+        assert reply == STUB_OK  # the origin was not asked for a second 100
+        assert b"expect" not in stub.received.partition(b"\r\n\r\n")[0].lower()
+        assert stub.connections == 1
 
 
 class TestRelay:

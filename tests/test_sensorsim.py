@@ -204,6 +204,27 @@ class TestSample:
         assert first == second
 
 
+class TestKindLookup:
+    """A kind is a SensorKind member or its value, nothing else."""
+
+    @pytest.mark.parametrize("kind", list(SensorKind))
+    def test_value_and_member_give_the_same_readings(self, state, kind):
+        times = BATCH_TIMES[:12]
+        by_value = [sample(state, kind.value, t) for t in times]
+        assert by_value == [sample(state, kind, t) for t in times]
+        assert all(r.kind is kind for r in by_value)
+        assert list(sample_many(state, kind.value, times)) == by_value
+        assert list(sample_many(state, kind, times)) == by_value
+
+    @pytest.mark.parametrize("kind", [3, None, ["x"], b"gyroscope", "Gyroscope"])
+    def test_anything_else_is_an_unknown_kind(self, state, kind):
+        message = f"^unknown sensor kind: {re.escape(repr(kind))}$"
+        with pytest.raises(ValueError, match=message):
+            sample(state, kind, 0.0)
+        with pytest.raises(ValueError, match=message):
+            next(sample_many(state, kind, [0.0]))
+
+
 class TestTimestamps:
     def test_timestamp_is_context_relative_and_shielded(self, state):
         cfg = ShieldConfig(quantum_ms=10.0, randomize=False)
