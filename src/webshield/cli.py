@@ -45,8 +45,6 @@ VERSION_TEXT = (
     f"(fpd-config-schema {CONFIG_SCHEMA_VERSION}, profile-table-schema {TABLE_SCHEMA_VERSION})"
 )
 
-TIME_WRITE_BATCH = 4096  # shielded lines per write when stdout is not a terminal
-
 
 def _parse_session(ctx, param, value):
     if value is None:
@@ -259,9 +257,8 @@ def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
         for reading in sample_many(state, kind, times, shield_cfg):
             value = reading.value
             if fmt == "jsonl":
-                payload = list(value) if isinstance(value, tuple) else value
                 write(json.dumps(
-                    {"t_ms": reading.timestamp_ms, "kind": kind.value, "value": payload}
+                    {"t_ms": reading.timestamp_ms, "kind": kind.value, "value": value}
                 ) + "\n")
             else:
                 cells = value if isinstance(value, tuple) else (value,)
@@ -301,16 +298,10 @@ def time_shield(quantum, no_randomize, session, origin):
                 raise ValueError(f"not a timestamp: {line!r}") from None
 
     write = sys.stdout.write
-    batch = 1 if sys.stdout.isatty() else TIME_WRITE_BATCH  # a terminal sees each line
-    lines = []
     try:
         for shielded in shield_stream(seed, parse_lines(), cfg):
-            lines.append(f"{shielded!r}\n")
-            if len(lines) == batch:
-                write("".join(lines))
-                lines.clear()
+            write(f"{shielded!r}\n")
     finally:
-        write("".join(lines))  # the lines before a bad one still come out
         sys.stdout.flush()  # a pipe or file is block-buffered
 
 

@@ -19,7 +19,7 @@ import base64
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .keyrand import FarbleSeed, keystream_bytes, subseed, uniform01, uniform_range
@@ -93,19 +93,22 @@ class AudioSamples:
         _check_le32_int("sample rate", self.sample_rate)
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
-        frames = len(self.channels[0]) if len(self.channels) else 0
-        for i, ch in enumerate(self.channels):
-            if len(ch) != frames:
-                raise ValueError(f"channel {i} length {len(ch)} != {frames}")
+        if isinstance(self.channels, np.ndarray) and self.channels.ndim == 2:
+            frames = self.channels.shape[1]  # rows of equal length by construction
+        else:
+            frames = len(self.channels[0]) if len(self.channels) else 0
+            for i, ch in enumerate(self.channels):
+                if len(ch) != frames:
+                    raise ValueError(f"channel {i} length {len(ch)} != {frames}")
         arr = np.asarray(self.channels, dtype=np.float64, order="C")
         if not arr.flags.owndata or (arr is self.channels and arr.flags.writeable):
             arr = arr.copy()
         if arr.ndim > 2:
             raise ValueError("each channel must be a flat sequence of samples")
         arr = arr.reshape(len(arr), frames)  # no channels: (0,) becomes (0, 0)
-        finite = np.isfinite(arr).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"channel {finite.argmin()} contains non-finite samples")
+        if not np.isfinite(arr).all():  # a per-channel pass only to name the bad one
+            bad = np.isfinite(arr).all(axis=1).argmin()
+            raise ValueError(f"channel {bad} contains non-finite samples")
         arr.flags.writeable = False
         object.__setattr__(self, "channels", arr)
 
@@ -128,12 +131,7 @@ class GlStringSet:
     unmasked_renderer: str
 
     def as_dict(self) -> dict:
-        return {
-            "vendor": self.vendor,
-            "renderer": self.renderer,
-            "unmasked_vendor": self.unmasked_vendor,
-            "unmasked_renderer": self.unmasked_renderer,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -273,21 +273,8 @@ class Report:
     groups: tuple  # GroupReport for each group with observed activity
     unclassified: dict  # endpoint -> count
 
-    def to_dict(self) -> dict:
-        return {
-            "page": self.page,
-            "score": self.score,
-            "detected": self.detected,
-            "severity": self.severity,
-            "groups": [
-                {"name": g.name, "fired": g.fired, "endpoints": dict(g.endpoints)}
-                for g in self.groups
-            ],
-            "unclassified": dict(self.unclassified),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"page: {self.page or '(unknown)'}"]

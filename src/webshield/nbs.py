@@ -60,20 +60,22 @@ class BoundaryDecision:
     target: AddressClass | None = None  # class decided on; None on first contact
 
 
-_V4_RANGES = [
+# First match wins; an address outside every row is public.  A v4
+# address is never in a v6 network, nor the other way round.
+_RANGES = [
+    (ipaddress.ip_network("0.0.0.0/32"), AddressClass.UNSPECIFIED),
     (ipaddress.ip_network("127.0.0.0/8"), AddressClass.LOOPBACK),
     (ipaddress.ip_network("10.0.0.0/8"), AddressClass.PRIVATE),
     (ipaddress.ip_network("172.16.0.0/12"), AddressClass.PRIVATE),
     (ipaddress.ip_network("192.168.0.0/16"), AddressClass.PRIVATE),
     (ipaddress.ip_network("169.254.0.0/16"), AddressClass.LINK_LOCAL),
-]
-
-_NAT64 = ipaddress.ip_network("64:ff9b::/96")
-
-_V6_RANGES = [
+    (ipaddress.ip_network("::/128"), AddressClass.UNSPECIFIED),
+    (ipaddress.ip_network("::1/128"), AddressClass.LOOPBACK),
     (ipaddress.ip_network("fe80::/10"), AddressClass.LINK_LOCAL),
     (ipaddress.ip_network("fc00::/7"), AddressClass.UNIQUE_LOCAL),
 ]
+
+_NAT64 = ipaddress.ip_network("64:ff9b::/96")
 
 # Depth in the boundary ordering; crossing = src deeper than dst.
 # The unspecified address ranks with loopback as a source and is always
@@ -108,18 +110,7 @@ def parse_ip(value) -> ipaddress.IPv4Address | ipaddress.IPv6Address:
 def classify_address(value) -> AddressClass:
     """Classify a syntactically valid IPv4/IPv6 address into its tier."""
     ip = parse_ip(value)
-    if isinstance(ip, ipaddress.IPv4Address):
-        if ip == ipaddress.IPv4Address("0.0.0.0"):
-            return AddressClass.UNSPECIFIED
-        for network, cls in _V4_RANGES:
-            if ip in network:
-                return cls
-        return AddressClass.PUBLIC
-    if ip == ipaddress.IPv6Address("::"):
-        return AddressClass.UNSPECIFIED
-    if ip == ipaddress.IPv6Address("::1"):
-        return AddressClass.LOOPBACK
-    for network, cls in _V6_RANGES:
+    for network, cls in _RANGES:
         if ip in network:
             return cls
     return AddressClass.PUBLIC

@@ -77,10 +77,12 @@ def shield_timestamp(seed: FarbleSeed, t_ms: float, cfg: ShieldConfig | None = N
         bucket = int(t_ms // cfg.quantum_ms)
     except OverflowError:
         raise _bucket_overflow(t_ms, cfg) from None
-    base = bucket * cfg.quantum_ms
-    if not cfg.randomize:
-        return base
-    return base + uniform01(seed, bucket) * cfg.quantum_ms
+    shielded = bucket * cfg.quantum_ms
+    if cfg.randomize:
+        shielded += uniform01(seed, bucket) * cfg.quantum_ms
+    if shielded == math.inf:  # the noise pushed the top bucket past the float range
+        raise _bucket_overflow(t_ms, cfg)
+    return shielded
 
 
 def shield_stream(
@@ -91,6 +93,8 @@ def shield_stream(
 
     The noise is ``uniform01(seed, bucket)``, read straight from the
     keystream: four buckets share a block, whose draws are decoded once.
+    Like ``shield_timestamp``, raises ValueError when a shielded value
+    would overflow the float range.
     """
     cfg = cfg or _DEFAULT_CFG
     q = cfg.quantum_ms
@@ -103,15 +107,16 @@ def shield_stream(
             bucket = int(t_ms // q)
         except OverflowError:
             raise _bucket_overflow(t_ms, cfg) from None
-        if not cfg.randomize:
-            yield bucket * q
-            continue
         if bucket != last_bucket:
             last_bucket = bucket
-            if bucket >> 2 != last_block:
-                last_block = bucket >> 2
-                draws = block_draws(keystream_block(seed, last_block))
-            shielded = bucket * q + draws[bucket & 3] * q
+            shielded = bucket * q
+            if cfg.randomize:
+                if bucket >> 2 != last_block:
+                    last_block = bucket >> 2
+                    draws = block_draws(keystream_block(seed, last_block))
+                shielded += draws[bucket & 3] * q
+            if shielded == inf:
+                raise _bucket_overflow(t_ms, cfg)
         yield shielded
 
 

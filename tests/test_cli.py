@@ -4,6 +4,8 @@ file handling, exit codes."""
 import hashlib
 import json
 import struct
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -345,6 +347,17 @@ class TestFarbleAudioCli:
         assert "0 channels but 5 frames" in result.stderr
         assert not out.exists()
 
+    def test_most_channels_the_header_can_declare_with_no_frames(self, tmp_path):
+        """2**32 - 1 empty channels: nothing to check channel by channel,
+        so the run neither loops over them nor allocates per channel."""
+        src, out = tmp_path / "in.pcm", tmp_path / "out.pcm"
+        header = struct.pack("<III", 8000, 2**32 - 1, 0)
+        src.write_bytes(header)
+        subprocess.run([sys.executable, "-m", "webshield", "farble", "audio",
+                        "--in", str(src), "--out", str(out), "--origin", ORIGIN,
+                        "--session", FIXED_SESSION], capture_output=True, check=True, timeout=30)
+        assert out.read_bytes() == header
+
 
 class TestFarbleGeo:
     def test_emits_degraded_json(self, runner):
@@ -444,6 +457,16 @@ class TestTimeShield:
             input=f"5\n{line}\n",
         )
         assert_clean_exit(result, 1, message)
+
+    def test_noise_past_the_float_range_is_domain_error(self, runner):
+        result = runner.invoke(
+            main,
+            ["time", "shield", "--quantum", "1e308", "--origin", ORIGIN,
+             "--session", FIXED_SESSION],
+            input="1e308\n",
+        )
+        assert_clean_exit(result, 1, "timestamp 1e+308 over quantum 1e+308 overflows")
+        assert result.stdout == ""
 
 
 class TestSensorsGen:

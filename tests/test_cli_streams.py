@@ -82,36 +82,42 @@ class TestStreamGolden:
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == SENSORS_GEN_SHA[sensor, fmt]
 
 
-def webshield(args, **kwargs):
+def webshield(args, unbuffered=False, **kwargs):
     """Start ``python -m webshield ARGS`` with the interpreter's default
-    buffering: stdout on a pipe is block-buffered, as in a shell pipeline."""
+    buffering: stdout on a pipe is block-buffered, as in a shell pipeline.
+    ``unbuffered`` sets PYTHONUNBUFFERED, so each line is its own write."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "webshield", *args, *KEYS], env=env,
                             text=True, **kwargs)
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 class TestPartialOutput:
     @pytest.mark.parametrize("bad, message", [
         ("x", "not a timestamp: 'x'"),
         ("inf", "timestamp must be finite and >= 0, got inf"),
     ])
-    def test_lines_before_a_bad_line_come_out_before_the_error(self, tmp_path, bad, message):
+    def test_lines_before_a_bad_line_come_out_before_the_error(self, tmp_path, bad, message,
+                                                               unbuffered):
         """As in ``webshield time shield <in >out 2>&1``: stdout is a pipe,
-        so block-buffered, and stderr shares it."""
+        so block-buffered unless ``unbuffered``, and stderr shares it."""
         path = tmp_path / "in.txt"
         path.write_text(f"5\n6\n{bad}\n")
         with open(path) as stdin:
-            process = webshield(["time", "shield"], stdin=stdin, stdout=subprocess.PIPE,
-                                stderr=subprocess.STDOUT)
+            process = webshield(["time", "shield"], unbuffered, stdin=stdin,
+                                stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         output, _ = process.communicate(timeout=60)
         assert process.returncode == 1
         assert output == "5.408292027151002\n" * 2 + f"Error: {message}\n"
 
-    def test_sensor_rows_before_an_overflowing_timestamp_come_out_before_the_error(self):
+    def test_sensor_rows_before_an_overflowing_timestamp_come_out_before_the_error(self,
+                                                                                   unbuffered):
         """The second reading's bucket index overflows: the header and the
         first row still come out, in order, before the error."""
         process = webshield(["sensors", "gen", "--sensor", "magnetometer", "--rate", "1",
-                             "--duration", "3", "--quantum", "5e-324"],
+                             "--duration", "3", "--quantum", "5e-324"], unbuffered,
                             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT)
         output, _ = process.communicate(timeout=60)

@@ -335,6 +335,8 @@ class TestDegradeGeolocation:
     (lambda: AudioSamples(44100, [[0.0, 0.0], [0.0]]), "channel 1 length 1 != 2"),
     (lambda: AudioSamples(44100, [[0.0, float("nan")]]), "channel 0 contains non-finite samples"),
     (lambda: AudioSamples(44100, [[0.0], [float("-inf")]]), "channel 1 contains non-finite samples"),
+    (lambda: AudioSamples(44100, np.array([[0.0, 1.0], [0.5, np.inf], [np.nan, 0.0]])),
+     "channel 1 contains non-finite samples"),
     (lambda: GeoCoordinate(91.0, 0.0, 1.0), "latitude out of range: 91.0"),
     (lambda: GeoCoordinate(0.0, -180.0, 1.0), "longitude out of range: -180.0"),
     (lambda: GeoCoordinate(0.0, 0.0, -1.0), "accuracy must be >= 0: -1.0"),

@@ -135,6 +135,16 @@ class TestClassify:
     def test_total_over_v6(self, raw):
         assert isinstance(classify_address(ipaddress.IPv6Address(raw)), AddressClass)
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @example(0)
+    @example(0x7F000001)
+    @settings(max_examples=300)
+    def test_embedded_v4_classifies_as_the_v4_address(self, v):
+        """v4-mapped (::ffff:v), NAT64 (64:ff9b::v) and 6to4 (2002:v::)."""
+        expected = classify_address(ipaddress.IPv4Address(v))
+        for embedded in ((0xFFFF << 32) | v, (0x64FF9B << 96) | v, (0x2002 << 112) | (v << 80)):
+            assert classify_address(ipaddress.IPv6Address(embedded)) is expected
+
 
 class TestCrossesBoundary:
     def test_public_to_loopback_crosses(self):

@@ -338,6 +338,16 @@ class TestSampleMany:
         with pytest.raises(ValueError, match="overflows the bucket index"):
             next(readings)
 
+    def test_timestamp_noise_past_the_float_range_raises(self, state):
+        top = sys.float_info.max  # bucket 1 of this quantum: any noise overflows
+        cfg = ShieldConfig(quantum_ms=top)
+        with pytest.raises(ValueError, match="overflows the bucket index"):
+            sample(state, SensorKind.MAGNETOMETER, top, cfg)
+        readings = sample_many(state, SensorKind.MAGNETOMETER, [0.0, top], cfg)
+        assert next(readings) == sample(state, SensorKind.MAGNETOMETER, 0.0, cfg)
+        with pytest.raises(ValueError, match="overflows the bucket index"):
+            next(readings)
+
     def test_unknown_kind_rejected(self, state):
         with pytest.raises(ValueError, match="unknown sensor kind"):
             next(sample_many(state, "thermometer", [0.0]))

@@ -65,6 +65,18 @@ class TestShieldTimestamp:
         with pytest.raises(ValueError, match="overflows the bucket index"):
             list(shield_stream(SEED, [0.0, 5.0], cfg))
 
+    def test_noise_past_the_float_range_rejected(self):
+        """Bucket 1 of a 1e308 quantum floors to 1e308, finite; its noise
+        would carry it to inf, more than one quantum from the input."""
+        cfg = ShieldConfig(quantum_ms=1e308)
+        assert shield_timestamp(SEED, 1e308, ShieldConfig(1e308, randomize=False)) == 1e308
+        with pytest.raises(ValueError, match="overflows the bucket index"):
+            shield_timestamp(SEED, 1e308, cfg)
+        stream = shield_stream(SEED, [5.0, 1e308], cfg)
+        assert next(stream) == shield_timestamp(SEED, 5.0, cfg)
+        with pytest.raises(ValueError, match="overflows the bucket index"):
+            next(stream)
+
     def test_bad_quantum_rejected(self):
         with pytest.raises(ValueError):
             ShieldConfig(quantum_ms=0.0)
