@@ -3,7 +3,8 @@
 All keyed randomness flows through one session key and origin, so any
 invocation with a pinned ``--session`` is byte-for-byte reproducible.
 Exit codes: 0 on success (a fingerprinting detection is a result, not a
-failure), 1 on domain errors, 2 on usage errors.
+failure), 1 on domain errors and on files that cannot be read or written,
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -91,12 +92,15 @@ class _DomainError(click.ClickException):
 
 
 class _Main(click.Group):
-    """The root group: a ValueError from any command exits 1 as a domain error."""
+    """The root group: a ValueError or OSError from any command exits 1 as a
+    domain error.  A broken pipe is left to click, which exits 1 silently."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except BrokenPipeError:
+            raise
+        except (ValueError, OSError) as exc:
             raise _DomainError(str(exc))
 
 

@@ -226,6 +226,24 @@ class TestVersionAndUsage:
         assert all(line.startswith("action=") for line in actions), result.stderr
         assert loaded == str(["numpy"] if loads_numpy else [])
 
+    @pytest.mark.parametrize("args, message", [
+        (["farble", "canvas", "--in", "{dir}/in.rgba", "--out", "{dir}", *KEYED],
+         "Is a directory"),
+        (["farble", "audio", "--in", "{dir}/in.pcm", "--out", "{dir}", *KEYED],
+         "Is a directory"),
+        (["fpd", "analyze", "--trace", "{dir}/trace.json", "--report", "{dir}"],
+         "Is a directory"),
+        (["farble", "canvas", "--in", "{dir}/in.rgba", "--out", "{dir}/missing/out", *KEYED],
+         "No such file or directory"),
+    ], ids=["canvas-out-dir", "audio-out-dir", "fpd-report-dir", "missing-parent"])
+    def test_unwritable_output_exits_1_with_one_error_line(self, runner, tmp_path, args, message):
+        write_white_bitmap(tmp_path / "in.rgba")
+        write_audio(tmp_path / "in.pcm", AudioSamples(8000, [[0.0, 0.5]]))
+        (tmp_path / "trace.json").write_text(json.dumps({"page": "https://x.example", "events": []}))
+        result = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
+        assert_clean_exit(result, 1, message)
+        assert "Traceback" not in result.stderr
+
 
 class TestFarbleCanvas:
     def test_deterministic_across_runs(self, runner, tmp_path):

@@ -10,7 +10,10 @@ import hashlib
 import math
 import re
 import struct
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from webshield.farble import (
     spoof_device_ids,
     spoof_gl_strings,
 )
-from webshield.keyrand import Origin, SessionKey, derive_seed
+from webshield.keyrand import Origin, SessionKey, derive_seed, keystream_bytes
 
 ZERO = SessionKey(bytes(32))
 SEED_A = derive_seed(ZERO, Origin.parse("https://a.example"), "canvas")
@@ -139,6 +142,103 @@ class TestFarbleBitmap:
         rgba = delta.reshape(-1, 4)
         assert np.all(rgba[:, :3] <= 1)  # only the LSB may flip
         assert np.all(rgba[:, 3] == 0)  # alpha untouched
+
+
+def random_bitmap(w, h, seed):
+    data = np.random.default_rng(seed).integers(0, 256, size=4 * w * h, dtype=np.uint8)
+    return BitmapBuffer(w, h, data.tobytes())
+
+
+class TestRepeatReadMemo:
+    """A read that repeats the last one returns its stored result; any
+    other read is farbled afresh."""
+
+    @pytest.fixture(autouse=True)
+    def cleared_memo(self, monkeypatch):
+        monkeypatch.setattr(farble, "_last_read", (None, None, None))
+
+    @pytest.fixture
+    def keystream_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return keystream_bytes(*args)
+
+        monkeypatch.setattr(farble, "keystream_bytes", counted)
+        return calls
+
+    @staticmethod
+    def fresh(seed, bitmap):
+        farble._last_read = (None, None, None)
+        return farble_bitmap(seed, bitmap).data
+
+    def test_second_identical_read_is_the_stored_object(self, keystream_calls):
+        bmp = random_bitmap(300, 150, 1)
+        first = farble_bitmap(SEED_A, bmp)
+        assert keystream_calls
+        keystream_calls.clear()
+        twin = BitmapBuffer(300, 150, bytes(bmp.data))  # equal, not the same object
+        assert farble_bitmap(SEED_A, twin) is first
+        assert keystream_calls == []
+
+    @pytest.mark.parametrize("seed,bitmap", [
+        (SEED_B, random_bitmap(6, 4, 1)),  # another seed
+        (SEED_A, random_bitmap(6, 4, 2)),  # other pixels of the same size
+        (SEED_A, BitmapBuffer(4, 6, random_bitmap(6, 4, 1).data)),  # width and height swapped
+    ], ids=["seed", "pixels", "swapped"])
+    def test_a_different_read_misses(self, keystream_calls, seed, bitmap):
+        farble_bitmap(SEED_A, random_bitmap(6, 4, 1))
+        keystream_calls.clear()
+        out = farble_bitmap(seed, bitmap).data
+        assert keystream_calls
+        assert out == self.fresh(seed, bitmap)
+
+    def test_a_mutable_payload_is_not_stored(self, keystream_calls):
+        data = bytearray(random_bitmap(6, 4, 1).data)
+        bmp = BitmapBuffer(6, 4, data)
+        farble_bitmap(SEED_A, bmp)
+        data[0] ^= 0xFF  # the caller changes the pixels under the same object
+        keystream_calls.clear()
+        assert farble_bitmap(SEED_A, bmp).data == self.fresh(SEED_A, BitmapBuffer(6, 4, bytes(data)))
+        assert keystream_calls
+
+    @pytest.mark.parametrize("w,kept", [(512, True), (513, False)])
+    def test_only_payloads_up_to_the_cap_are_kept(self, keystream_calls, w, kept):
+        bmp = random_bitmap(w, 512, 3)
+        assert (len(bmp.data) <= farble.REPEAT_READ_MAX_BYTES) is kept
+        out = farble_bitmap(SEED_A, bmp)
+        refs = weakref.ref(bmp), weakref.ref(out)
+        data = bmp.data
+        del bmp, out
+        assert all((ref() is not None) is kept for ref in refs)
+        keystream_calls.clear()
+        farble_bitmap(SEED_A, BitmapBuffer(w, 512, data))
+        assert (keystream_calls == []) is kept
+
+    def test_threads_alternating_two_canvases_read_single_thread_bytes(self):
+        canvases = [random_bitmap(16, 16, 4), random_bitmap(16, 16, 5)]
+        expected = [self.fresh(SEED_A, c) for c in canvases]
+        wrong = []
+
+        def reader(first):
+            for i in range(200):
+                k = (first + i) % 2
+                if farble_bitmap(SEED_A, canvases[k]).data != expected[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestFarbleAudio:

@@ -1,6 +1,8 @@
 """Binary media file formats used by the CLI."""
 
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -93,6 +95,19 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def refused_peak(read, path, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            read(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 2**20
+
+
 class TestReadMemory:
     """The readers take the header, then the payload: no slice of the
     whole file copies the payload a second time."""
@@ -109,3 +124,46 @@ class TestReadMemory:
         path.write_bytes(struct.pack("<III", 44_100, 2, frames) + bytes(4 * 2 * frames))
         float32, float64 = 4 * 2 * frames, 8 * 2 * frames
         assert traced_peak(read_audio, path) <= 1.1 * (float32 + float64)
+
+    # a 1x1 header, then a 1-channel 1-frame header, each over an 8 MiB tail
+    @pytest.mark.parametrize("read,header", [
+        (read_bitmap, struct.pack("<II", 1, 1)),
+        (read_audio, struct.pack("<III", 8000, 1, 1)),
+    ], ids=["bitmap", "audio"])
+    def test_a_payload_past_its_header_is_refused_unread(self, tmp_path, read, header):
+        path = tmp_path / "long"
+        path.write_bytes(header + bytes(4 + 8 * MiB))
+        assert refused_peak(read, path, "longer than the 4 bytes its header implies") < MiB
+
+    @pytest.mark.parametrize("read,header,message", [
+        (read_bitmap, struct.pack("<II", 65535, 65535),
+         "bitmap data is 16 bytes, expected 17179344900 for 65535x65535 RGBA"),
+        (read_audio, struct.pack("<III", 8000, 65535, 2**32 - 1),
+         "audio payload is 16 bytes, header implies 1125882726711300"),
+    ], ids=["bitmap", "audio"])
+    def test_a_huge_header_over_a_short_file_is_refused(self, tmp_path, read, header, message):
+        path = tmp_path / "short"
+        path.write_bytes(header + bytes(16))
+        assert refused_peak(read, path, message) < MiB
+
+    @pytest.mark.parametrize("tail,error", [(b"", None), (b"\x00", "longer than the 24 bytes")])
+    def test_a_bitmap_reads_through_a_pipe(self, tmp_path, tail, error):
+        bitmap = BitmapBuffer(2, 3, bytes(range(24)))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(struct.pack("<II", 2, 3) + bitmap.data + tail)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            if error is None:
+                assert read_bitmap(fifo) == bitmap
+            else:
+                with pytest.raises(ValueError, match=error):
+                    read_bitmap(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()

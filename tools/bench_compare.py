@@ -20,7 +20,10 @@ every run, the machine, an optional claim with its verdict, and an
 optional traced run per side.  Next to the end-to-end metrics, each side
 keeps the same summary of every ``workload_metrics`` value of
 ``run.py``'s detail line (``proxy_p50_ms``, ``proxy_req_per_s``,
-``time_shield_ms``, ...), so a layer claim rests on the same pairs.
+``time_shield_ms``, ...), so a layer claim rests on the same pairs,
+and of every ``input_shares`` value (``repeated_canvas_reads``, ...), so
+a claim that helps only inputs with some property cites that property's
+share from the same runs.
 Those figures time whole requests and commands from outside the
 program, so they also see costs no traced span covers: the proxy's
 ``proxy.request`` span starts inside the handler, after the connection
@@ -153,6 +156,9 @@ def main(argv=None) -> int:
                     name: summary([r["detail"]["workload_metrics"][name]["value"]
                                    for r in side_runs])
                     for name in side_runs[0]["detail"]["workload_metrics"]}
+                metrics["input_shares"] = {
+                    name: summary([r["detail"]["input_shares"][name] for r in side_runs])
+                    for name in side_runs[0]["detail"]["input_shares"]}
                 entry[side] = metrics
             entry["child_wins"] = {
                 name: sum((c < p) if is_lower else (c > p) for p, c in zip(
