@@ -14,15 +14,3 @@ Subsystems:
 """
 
 __version__ = "0.1.0"
-
-from .keyrand import (  # noqa: F401
-    FarbleSeed,
-    Origin,
-    SessionKey,
-    derive_seed,
-    keystream_bytes,
-    new_session_key,
-    normalize_origin,
-    uniform01,
-    uniform_range,
-)

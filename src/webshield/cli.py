@@ -418,7 +418,3 @@ def nbs_proxy(listen, mode, origin_class, log_path):
         stopping.wait()
     finally:
         service.stop()  # flushes pending coalesced log windows
-
-
-if __name__ == "__main__":
-    main()

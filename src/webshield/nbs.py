@@ -235,7 +235,8 @@ def decide(
     if target is None:
         return BoundaryDecision(
             Decision.ALLOW_AND_LEARN,
-            f"first contact with {target_host!r}; peer address will be learned from the reply",
+            f"first contact with {target_host!r}; the class of the address it connects to "
+            "is learned before the connect",
         )
     if crosses_boundary(origin_class, target):
         return BoundaryDecision(

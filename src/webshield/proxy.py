@@ -1,6 +1,6 @@
 """Filtering HTTP forward proxy enforcing network boundary decisions.
 
-Each request (plain HTTP or CONNECT tunnel) is decided by ``nbs.gate``
+Each request (plain ``http://`` or CONNECT tunnel) is decided by ``nbs.gate``
 before any upstream traffic, and the proxy connects only to the address
 the gate names: a crossing request is answered 403 without a single
 packet reaching the target.  In learn-on-reply mode unknown hostnames
@@ -24,11 +24,12 @@ import queue
 import re
 import select
 import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -138,6 +139,9 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # silence default stderr chatter
         pass
 
+    def version_string(self):  # the base class appends the Python version
+        return self.server_version
+
     expects_continue = False  # set by handle_expect_100
 
     def parse_request(self):
@@ -219,8 +223,9 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         try:
             if len(lengths) > 1:  # RFC 9112 section 6.3: an unrecoverable error
                 raise ValueError(f"conflicting Content-Length values: {sorted(lengths)!r}")
-            if not self.path.startswith(("http://", "https://")):
-                raise ValueError("proxy requires absolute-form request targets")
+            if not self.path.startswith("http://"):
+                raise ValueError("proxy requires absolute-form http:// request targets; "
+                                 "use CONNECT for https")
             if _CONTROL_OR_SPACE.search(self.path):
                 raise ValueError(f"control character in request target {self.path!r}")
             parts = urlsplit(self.path)
@@ -320,8 +325,10 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
 
-class BoundaryProxy(HTTPServer):
+class BoundaryProxy(socketserver.TCPServer):
     """Long-running filtering proxy service."""
+
+    allow_reuse_address = True
 
     def __init__(self, config: ProxyConfig):
         if ":" in config.listen_host:  # an IPv6 literal, without brackets

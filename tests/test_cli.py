@@ -891,6 +891,15 @@ class TestNbsCli:
         assert result.exit_code == 0
         assert result.stdout.startswith("AllowAndLearn")
 
+    def test_check_learn_mode_first_contact_says_when_it_learns(self, runner):
+        result = runner.invoke(
+            main, ["nbs", "check", "--target", "new.example", "--mode", "learn"]
+        )
+        assert result.stdout == (
+            "AllowAndLearn: first contact with 'new.example'; the class of the address "
+            "it connects to is learned before the connect\n"
+        )
+
     def test_check_learn_mode_refuses_a_resolved_address(self, runner):
         """Learn mode never resolves, so a given address would be ignored."""
         result = runner.invoke(

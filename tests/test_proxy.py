@@ -494,6 +494,26 @@ class TestMalformedRequests:
         assert log.read_text() == ""
         assert "Traceback" not in capfd.readouterr().err
 
+    @pytest.mark.parametrize("mode", list(NbsMode))
+    def test_https_target_gets_400_and_no_cleartext_upstream(self, stub, tmp_path, mode):
+        """The proxy cannot speak TLS to the target, so an https:// URL is
+        refused rather than sent in the clear; CONNECT is the way."""
+        log = tmp_path / "decisions.jsonl"
+        proxy = run_proxy(
+            ProxyConfig(mode=mode, origin_class=AddressClass.LOOPBACK, log_path=log)
+        )
+        try:
+            reply = raw_request(
+                proxy.address,
+                f"GET https://127.0.0.1:{stub.port}/secret?token=1 HTTP/1.1\r\n\r\n",
+            )
+        finally:
+            proxy.stop()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"CONNECT" in reply.partition(b"\r\n\r\n")[2]
+        assert (stub.connections, stub.received) == (0, b"")
+        assert log.read_text() == ""
+
     def test_any_request_bytes_get_a_status_line(self, stub, capfd, monkeypatch):
         """Whatever a client sends, it gets a status line and the proxy
         opens no connection across the boundary."""
@@ -989,3 +1009,34 @@ def test_listens_on_ipv6_loopback(stub, ipv6_loopback):
         assert stub.connections == 0
     finally:
         proxy.stop()
+
+
+def test_starts_without_a_reverse_lookup_of_its_address(stub, monkeypatch):
+    def no_lookup(name=""):
+        raise OSError(f"reverse lookup of {name!r}")
+
+    monkeypatch.setattr(socket, "getfqdn", no_lookup)
+    proxy = run_proxy(ProxyConfig(origin_class=AddressClass.LOOPBACK))
+    try:
+        status, _, body = proxy_request(proxy.address, f"http://127.0.0.1:{stub.port}/probe")
+    finally:
+        proxy.stop()
+    assert (status, body) == (200, b"stub-ok")
+
+
+@pytest.mark.parametrize("head,status", [
+    ("GET http://127.0.0.1:{port}/ HTTP/1.1\r\n\r\n", 403),
+    ("GET /relative HTTP/1.1\r\n\r\n", 400),
+    ("\r\n\r\n", 400),
+], ids=["block", "origin-form", "blank-request-line"])
+def test_server_header_names_no_runtime_version(stub, head, status):
+    proxy = run_proxy(ProxyConfig())
+    try:
+        reply = raw_request(proxy.address, head.format(port=stub.port))
+    finally:
+        proxy.stop()
+    assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+    head_lines = reply.partition(b"\r\n\r\n")[0].split(b"\r\n")
+    assert [line for line in head_lines if line.lower().startswith(b"server:")] == [
+        b"Server: webshield-nbs"
+    ]
