@@ -14,3 +14,7 @@ Subsystems:
 """
 
 __version__ = "0.1.0"
+# Schema versions ``--version`` prints beside the package version; kept
+# here so that printing them loads no subsystem.
+CONFIG_SCHEMA_VERSION = 1  # versions the FPD config format (``fpd``)
+TABLE_SCHEMA_VERSION = 1  # versions the PROFILES table (``profiles``)

@@ -16,30 +16,14 @@ from pathlib import Path
 
 import click
 
-from . import __version__, formats
-from .farble import (
-    GeoCoordinate,
-    degrade_geolocation,
-    farble_audio,
-    farble_bitmap,
-    spoof_device_ids,
-    spoof_gl_strings,
-    validate_device_count,
-    validate_geo_request,
-)
-from .fpd import (
-    CONFIG_SCHEMA_VERSION,
-    FpdMode,
-    analyze_trace,
-    block_directives,
-    default_config,
-    load_fpd_config,
-)
-from .keyrand import Origin, SessionKey, derive_seed, new_session_key
-from .nbs import AddressClass, LearnCache, NbsMode, decide, gate, parse_ip, split_authority
-from .profiles import PROFILES, TABLE_SCHEMA_VERSION, protect
-from .sensorsim import SensorKind, init_device_state, sample_many
-from .timeshield import DEFAULT_QUANTUM_MS, ShieldConfig, shield_stream
+from . import CONFIG_SCHEMA_VERSION, TABLE_SCHEMA_VERSION, __version__
+
+# Each command imports the subsystems it runs when it runs, so that a
+# command loads only its own and ``--version`` and ``--help`` load none.
+# For the same reason the options spell out their enums' values and the
+# quantum default; a test holds them to the subsystems' own.  A name
+# imported at call time is the one its module holds then, so a wrapper or
+# a test patch installed on a subsystem's function sees the CLI's calls.
 
 VERSION_TEXT = (
     f"webshield {__version__} "
@@ -48,6 +32,8 @@ VERSION_TEXT = (
 
 
 def _parse_session(ctx, param, value):
+    from .keyrand import SessionKey, new_session_key
+
     if value is None:
         key = new_session_key()
         click.echo(f"session={key.hex()}", err=True)
@@ -59,6 +45,8 @@ def _parse_session(ctx, param, value):
 
 
 def _parse_origin(ctx, param, value):
+    from .keyrand import Origin
+
     try:
         return Origin.parse(value)
     except ValueError as exc:
@@ -107,9 +95,11 @@ class _Main(click.Group):
 def _protect(profile: str, group: str, payload, little_lie):
     """Announce the profile's action for ``group`` on stderr, then apply it.
 
-    The little lie looks its farble function up in this module's globals
-    when it runs, so wrappers installed on those names see the call.
+    Each command imports its little lie's function from ``farble`` when
+    it runs, so a wrapper installed on ``farble`` sees the call.
     """
+    from .profiles import PROFILES, protect
+
     action = PROFILES[profile].actions[group]
     click.echo(f"action={action.value} group={group}", err=True)
     return protect(action, group, payload, little_lie)
@@ -139,6 +129,10 @@ def farble():
 @profile_option
 def farble_canvas(in_path, out_path, session, origin, profile):
     """Farble an RGBA bitmap file (LE32 w, LE32 h, RGBA bytes)."""
+    from . import formats
+    from .farble import farble_bitmap
+    from .keyrand import derive_seed
+
     bitmap = formats.read_bitmap(in_path)
     out = _protect(profile, "canvas", bitmap,
                    lambda b: farble_bitmap(derive_seed(session, origin, "canvas"), b))
@@ -154,6 +148,10 @@ def farble_canvas(in_path, out_path, session, origin, profile):
 @profile_option
 def farble_audio_cmd(in_path, out_path, session, origin, profile):
     """Farble a raw audio file (LE32 rate, LE32 ch, LE32 frames, f32 LE)."""
+    from . import formats
+    from .farble import farble_audio
+    from .keyrand import derive_seed
+
     audio = formats.read_audio(in_path)
     out = _protect(profile, "audio", audio,
                    lambda a: farble_audio(derive_seed(session, origin, "audio"), a))
@@ -172,6 +170,9 @@ def farble_audio_cmd(in_path, out_path, session, origin, profile):
 @profile_option
 def farble_geo(lat, lon, accuracy, precision, session, origin, profile):
     """Degrade a coordinate to origin-keyed grid precision."""
+    from .farble import GeoCoordinate, degrade_geolocation, validate_geo_request
+    from .keyrand import derive_seed
+
     coord = GeoCoordinate(lat, lon, accuracy)
     validate_geo_request(precision)
     out = _protect(
@@ -199,6 +200,9 @@ def spoof():
 @profile_option
 def spoof_gl(session, origin, profile):
     """Emit the four spoofed GPU identity strings as JSON."""
+    from .farble import spoof_gl_strings
+    from .keyrand import derive_seed
+
     strings = _protect(profile, "webgl", None,
                        lambda _: spoof_gl_strings(derive_seed(session, origin, "webgl")))
     if strings is not None:
@@ -212,6 +216,9 @@ def spoof_gl(session, origin, profile):
 @profile_option
 def spoof_devices(count, session, origin, profile):
     """Emit spoofed media device identifiers, one per line."""
+    from .farble import spoof_device_ids, validate_device_count
+    from .keyrand import derive_seed
+
     validate_device_count(count)
     ids = _protect(profile, "mediadevices", None,
                    lambda _: spoof_device_ids(derive_seed(session, origin, "mediadevices"), count))
@@ -229,18 +236,24 @@ def sensors():
 
 
 @sensors.command("gen")
-@click.option("--sensor", "kind", type=click.Choice([k.value for k in SensorKind]),
-              required=True)
+@click.option("--sensor", "kind", required=True, type=click.Choice(  # sensorsim.SensorKind
+    ["magnetometer", "accelerometer", "linear_acceleration", "gravity", "gyroscope",
+     "orientation_abs", "orientation_rel", "ambient_light"]
+))
 @click.option("--rate", type=float, required=True, help="Sample rate in Hz.")
 @click.option("--duration", type=float, required=True, help="Trace length in seconds.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv",
               show_default=True)
-@click.option("--quantum", type=float, default=DEFAULT_QUANTUM_MS, show_default=True,
+@click.option("--quantum", type=float, default=10.0, show_default=True,  # DEFAULT_QUANTUM_MS
               help="Timestamp shield quantum in ms.")
 @session_option
 @origin_option
 def sensors_gen(kind, rate, duration, fmt, quantum, session, origin):
     """Generate a sensor trace at a fixed rate."""
+    from .keyrand import derive_seed
+    from .sensorsim import SensorKind, init_device_state, sample_many
+    from .timeshield import ShieldConfig
+
     if not (0 < rate < math.inf and 0 <= duration < math.inf and rate * duration < math.inf):
         raise _DomainError(
             "rate must be finite and > 0, duration finite and >= 0, and their product finite"
@@ -282,12 +295,15 @@ def time():
 
 
 @time.command("shield")
-@click.option("--quantum", type=float, default=DEFAULT_QUANTUM_MS, show_default=True)
+@click.option("--quantum", type=float, default=10.0, show_default=True)  # DEFAULT_QUANTUM_MS
 @click.option("--no-randomize", is_flag=True, default=False)
 @session_option
 @origin_option
 def time_shield(quantum, no_randomize, session, origin):
     """Shield newline-separated millisecond timestamps from stdin."""
+    from .keyrand import derive_seed
+    from .timeshield import ShieldConfig, shield_stream
+
     cfg = ShieldConfig(quantum_ms=quantum, randomize=not no_randomize)
     seed = derive_seed(session, origin, "time")
 
@@ -321,11 +337,13 @@ def fpd():
 @fpd.command("analyze")
 @click.option("--trace", type=click.Path(exists=True, path_type=Path), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path))
-@click.option("--mode", type=click.Choice([m.value for m in FpdMode]),
+@click.option("--mode", type=click.Choice(["passive", "notify", "block"]),  # fpd.FpdMode
               default="passive", show_default=True)
 @click.option("--report", "report_path", type=click.Path(path_type=Path))
 def fpd_analyze(trace, config_path, mode, report_path):
     """Analyze a trace file and render the detection report."""
+    from .fpd import analyze_trace, block_directives, default_config, load_fpd_config
+
     cfg = load_fpd_config(config_path) if config_path else default_config()
     _state, verdict, report = analyze_trace(trace, cfg)
     click.echo(report.to_text())
@@ -344,15 +362,27 @@ def nbs():
     """Network boundary decisions and the filtering proxy."""
 
 
+origin_class_option = click.option(
+    "--origin-class", default="public", show_default=True,
+    type=click.Choice(  # nbs.AddressClass
+        ["loopback", "private", "link_local", "unique_local", "unspecified", "public"]
+    ),
+)
+nbs_mode_option = click.option(
+    "--mode", type=click.Choice(["preresolve", "learn"]),  # nbs.NbsMode
+    default="preresolve", show_default=True,
+)
+
+
 @nbs.command("check")
-@click.option("--origin-class", default="public", show_default=True,
-              type=click.Choice([c.value for c in AddressClass]))
+@origin_class_option
 @click.option("--target", required=True, metavar="HOST[:PORT]")
 @click.option("--resolved", metavar="IP", help="Resolved address (preresolve mode only).")
-@click.option("--mode", type=click.Choice([m.value for m in NbsMode]),
-              default="preresolve", show_default=True)
+@nbs_mode_option
 def nbs_check(origin_class, target, resolved, mode):
     """Decide one request and print the decision."""
+    from .nbs import AddressClass, LearnCache, NbsMode, decide, gate, parse_ip, split_authority
+
     mode = NbsMode(mode)
     origin = AddressClass(origin_class)
     if target.count(":") > 1 and not target.startswith("["):
@@ -376,15 +406,14 @@ def nbs_check(origin_class, target, resolved, mode):
 @nbs.command("proxy")
 @click.option("--listen", default="127.0.0.1:8080", show_default=True,
               metavar="ADDR:PORT")
-@click.option("--mode", type=click.Choice([m.value for m in NbsMode]),
-              default="preresolve", show_default=True)
-@click.option("--origin-class", default="public", show_default=True,
-              type=click.Choice([c.value for c in AddressClass]))
+@nbs_mode_option
+@origin_class_option
 @click.option("--log", "log_path", type=click.Path(path_type=Path),
               help="JSONL decision log.")
 def nbs_proxy(listen, mode, origin_class, log_path):
     """Run the filtering forward proxy until interrupted."""
-    from .proxy import ProxyConfig, run_proxy  # here, so other commands skip http.server
+    from .nbs import AddressClass, NbsMode
+    from .proxy import ProxyConfig, run_proxy
 
     host, _, port_text = listen.rpartition(":")
     if not (port_text.isascii() and port_text.isdigit() and int(port_text) < 65536):

@@ -30,7 +30,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-CONFIG_SCHEMA_VERSION = 1
+from . import CONFIG_SCHEMA_VERSION
 
 _TOP_FIELDS = {"version", "severity", "root"}
 _GROUP_FIELDS = {"name", "threshold", "children"}

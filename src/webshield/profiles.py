@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import TABLE_SCHEMA_VERSION  # noqa: F401  (the version of PROFILES below)
 from .farble import AudioSamples, BitmapBuffer, GlStringSet
-
-TABLE_SCHEMA_VERSION = 1  # versions the PROFILES table; ``--version`` prints it
 
 
 class ProtectionAction(Enum):

@@ -258,6 +258,9 @@ class _ProxyHandler(BaseHTTPRequestHandler):
                 self.send_response_only(100)
                 self.end_headers()
             body = self.rfile.read(length)
+            if len(body) < length:  # the client closed mid-body: send the target nothing
+                self._reply(400, f"request body ended after {len(body)} of {length} bytes")
+                return
             try:
                 upstream.sendall(head + body)
                 data = upstream.recv(65536)
@@ -300,7 +303,11 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         self._pump(self.connection, upstream)
 
     def _pump(self, client: socket.socket, upstream: socket.socket) -> None:
-        sockets = [client, upstream]
+        # poll, unlike select, takes descriptors above 1023
+        ends = {client.fileno(): (client, upstream), upstream.fileno(): (upstream, client)}
+        poller = select.poll()
+        for fd in ends:
+            poller.register(fd, select.POLLIN)
         try:
             # Bytes the client sent right after the CONNECT head already sit
             # in rfile's buffer; under a zero timeout peek returns them and
@@ -309,15 +316,13 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             pending = self.rfile.peek()
             client.settimeout(self.timeout)
             upstream.sendall(self.rfile.read(len(pending)))
-            while True:
-                readable, _, _ = select.select(sockets, [], [], 30.0)
-                if not readable:
-                    break
-                for sock in readable:
-                    data = sock.recv(65536)
+            while events := poller.poll(30_000):
+                for fd, _ in events:
+                    source, sink = ends[fd]
+                    data = source.recv(65536)
                     if not data:
                         return
-                    (upstream if sock is client else client).sendall(data)
+                    sink.sendall(data)
         except OSError:
             pass
         finally:
@@ -368,6 +373,8 @@ class BoundaryProxy(socketserver.TCPServer):
             request, client_address = job
             try:
                 self.finish_request(request, client_address)
+            except ConnectionError:
+                pass  # the client left; every upstream error is answered in the handler
             except Exception:
                 self.handle_error(request, client_address)
             finally:

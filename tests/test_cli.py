@@ -136,16 +136,26 @@ class TestVersionAndUsage:
         assert "webshield" in result.output
         assert "fpd-config-schema 1" in result.output
 
+    def test_package_version_is_the_one_pyproject_declares(self):
+        from pathlib import Path
+
+        from webshield import __version__
+
+        tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            assert tomllib.load(f)["project"]["version"] == __version__
+
     def test_value_error_in_a_nested_command_exits_1_with_one_error_line(
         self, runner, monkeypatch
     ):
-        from webshield import cli
+        from webshield import sensorsim
 
         def fail(*_):
             raise UnicodeError("label empty or too long")
 
         # a call no command wraps itself: the root group maps it
-        monkeypatch.setattr(cli, "init_device_state", fail)
+        monkeypatch.setattr(sensorsim, "init_device_state", fail)
         result = runner.invoke(main, SENSORS_GEN)
         assert_clean_exit(result, 1, "label empty or too long")
         assert result.stderr == "Error: label empty or too long\n"
@@ -153,12 +163,12 @@ class TestVersionAndUsage:
     def test_value_error_is_a_click_exception_outside_standalone_mode(self, monkeypatch):
         import click
 
-        from webshield import cli
+        from webshield import sensorsim
 
         def fail(*_):
             raise ValueError("bad")
 
-        monkeypatch.setattr(cli, "init_device_state", fail)
+        monkeypatch.setattr(sensorsim, "init_device_state", fail)
         with pytest.raises(click.ClickException) as info:
             main.main(SENSORS_GEN, prog_name="webshield", standalone_mode=False)
         assert (info.value.exit_code, info.value.message) == (1, "bad")
@@ -189,23 +199,28 @@ class TestVersionAndUsage:
 
     KEYED = ["--origin", ORIGIN, "--session", FIXED_SESSION]
 
-    @pytest.mark.parametrize("args, stdin, loads_numpy", [
-        (["--version"], "", False),
-        (["time", "shield", *KEYED], "5\n", False),
-        (["fpd", "analyze", "--trace", "{dir}/trace.json"], "", False),
-        (["nbs", "check", "--origin-class", "public", "--target", "127.0.0.1:80"], "", False),
-        (["spoof", "gl", *KEYED], "", False),
-        (["farble", "geo", "--lat", "50.0755", "--lon", "14.4378", *KEYED], "", False),
+    @pytest.mark.parametrize("args, stdin, loads_numpy, modules", [
+        (["--version"], "", False, "cli"),
+        (["time", "shield", *KEYED], "5\n", False, "cli keyrand timeshield"),
+        (["fpd", "analyze", "--trace", "{dir}/trace.json"], "", False, "cli data fpd"),
+        (["nbs", "check", "--origin-class", "public", "--target", "127.0.0.1:80"], "", False,
+         "cli nbs"),
+        (["spoof", "gl", *KEYED], "", False, "cli farble keyrand profiles"),
+        (["farble", "geo", "--lat", "50.0755", "--lon", "14.4378", *KEYED], "", False,
+         "cli farble keyrand profiles"),
         (["sensors", "gen", "--sensor", "accelerometer", "--rate", "10", "--duration", "1",
-          *KEYED], "", False),
-        (["farble", "canvas", "--in", "{dir}/in.rgba", "--out", "{dir}/out", *KEYED], "", True),
+          *KEYED], "", False, "cli keyrand sensorsim timeshield"),
+        (["farble", "canvas", "--in", "{dir}/in.rgba", "--out", "{dir}/out", *KEYED], "", True,
+         "cli farble formats keyrand profiles"),
+        (["--help"], "", False, "cli"),
     ], ids=["version", "time-shield", "fpd-analyze", "nbs-check", "spoof-gl", "farble-geo",
-            "sensors-gen", "farble-canvas"])
+            "sensors-gen", "farble-canvas", "help"])
     def test_command_without_the_proxy_leaves_http_server_unimported(
-        self, tmp_path, args, stdin, loads_numpy
+        self, tmp_path, args, stdin, loads_numpy, modules
     ):
-        """No command but ``nbs proxy`` loads the proxy, and numpy loads
-        only for the commands that compute with it."""
+        """No command but ``nbs proxy`` loads the proxy, numpy loads only
+        for the commands that compute with it, and each command loads only
+        the ``webshield`` modules it runs."""
         import subprocess
         import sys
         from importlib import resources
@@ -217,14 +232,50 @@ class TestVersionAndUsage:
         )
         report = ("import atexit, runpy, sys; atexit.register(lambda: print(sorted("
                   "m for m in ('webshield.proxy', 'http.server', 'numpy') if m in sys.modules), "
-                  "file=sys.stderr)); runpy.run_module('webshield', run_name='__main__')")
+                  "' '.join(sorted(m.removeprefix('webshield.') for m in sys.modules "
+                  "if m.startswith('webshield.'))), sep='\\n', file=sys.stderr)); "
+                  "runpy.run_module('webshield', run_name='__main__')")
         result = subprocess.run([sys.executable, "-c", report,
                                  *(a.format(dir=tmp_path) for a in args)],
                                 input=stdin, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        *actions, loaded = result.stderr.splitlines()
+        *actions, loaded, loaded_modules = result.stderr.splitlines()
         assert all(line.startswith("action=") for line in actions), result.stderr
         assert loaded == str(["numpy"] if loads_numpy else [])
+        assert loaded_modules == modules
+
+    def test_literal_choices_match_their_enums(self, runner):
+        """``cli`` writes out its enum choice lists and ``--quantum`` default
+        so that building the command line loads no subsystem; they must
+        still be the values the subsystems define."""
+        from webshield import __version__
+        from webshield.fpd import FpdMode
+        from webshield.nbs import AddressClass, NbsMode
+        from webshield.sensorsim import SensorKind
+        from webshield.timeshield import DEFAULT_QUANTUM_MS
+
+        def option(path, name):
+            command = main
+            for word in path.split():
+                command = command.commands[word]
+            return next(p for p in command.params if p.name == name)
+
+        def choices(path, name):
+            return list(option(path, name).type.choices)
+
+        def values(enum):
+            return [member.value for member in enum]
+
+        assert choices("sensors gen", "kind") == values(SensorKind)
+        assert choices("fpd analyze", "mode") == values(FpdMode)
+        for path in ("nbs check", "nbs proxy"):
+            assert choices(path, "mode") == values(NbsMode)
+            assert choices(path, "origin_class") == values(AddressClass)
+        for path in ("sensors gen", "time shield"):
+            assert option(path, "quantum").default == DEFAULT_QUANTUM_MS
+        assert runner.invoke(main, ["--version"]).output == (
+            f"webshield {__version__} (fpd-config-schema 1, profile-table-schema 1)\n"
+        )
 
     @pytest.mark.parametrize("args, message", [
         (["farble", "canvas", "--in", "{dir}/in.rgba", "--out", "{dir}", *KEYED],

@@ -9,6 +9,7 @@ import http.client
 import json
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -248,6 +249,49 @@ class TestPreResolveMode:
                     assert cut_off
         finally:
             proxy.stop()
+
+    def test_tunnel_echoes_with_descriptors_above_1023(self):
+        """A tunnel whose sockets are numbered past select()'s 1023 ceiling
+        still relays; the proxy runs in this process, so filler descriptors
+        push its sockets up there."""
+        import os
+        import resource
+
+        fillers_wanted = 1030
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        needed = fillers_wanted + 256  # the fillers, the suite's own files and sockets
+        if hard != resource.RLIM_INFINITY and hard < needed:
+            pytest.skip(f"RLIMIT_NOFILE hard limit {hard} is below {needed}")
+        if soft != resource.RLIM_INFINITY and soft < needed:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (needed, hard))
+        fillers = []
+        try:
+            for _ in range(fillers_wanted):  # each one kept, to be closed, as it opens
+                fillers.append(os.open(os.devnull, os.O_RDONLY))
+            proxy = run_proxy(
+                ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+            )
+            try:
+                with socket.create_server(("127.0.0.1", 0)) as target, \
+                        socket.create_connection(proxy.address, timeout=5) as client:
+                    assert client.fileno() > 1023
+                    target.settimeout(5)
+                    port = target.getsockname()[1]
+                    client.sendall(f"CONNECT 127.0.0.1:{port} HTTP/1.1\r\n\r\n".encode())
+                    upstream, _ = target.accept()
+                    with upstream:
+                        upstream.settimeout(5)
+                        assert client.recv(65536).startswith(b"HTTP/1.1 200 ")
+                        client.sendall(b"ping")
+                        assert upstream.recv(4) == b"ping"
+                        upstream.sendall(b"pong")
+                        assert client.recv(4) == b"pong"
+            finally:
+                proxy.stop()
+        finally:
+            for fd in fillers:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
     def test_unresolvable_host_is_bad_gateway(self):
         proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
@@ -588,6 +632,48 @@ class TestMalformedRequests:
         finally:
             proxy.stop()
         assert log.read_text() == ""
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_body_shorter_than_its_length_reaches_no_target(self, stub):
+        """A client that half-closes mid-body gets 400, and the target,
+        though connected, is sent no byte of the truncated request."""
+        proxy = run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+        try:
+            with socket.create_connection(proxy.address, timeout=5) as sock:
+                sock.sendall(f"POST http://127.0.0.1:{stub.port}/ HTTP/1.1\r\n"
+                             "Content-Length: 100\r\n\r\n".encode() + b"x" * 10)
+                sock.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        finally:
+            proxy.stop()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"10 of 100 bytes" in reply
+        assert stub.received == b""
+
+    def test_client_that_resets_mid_head_ends_its_job_quietly(self, capfd):
+        """A client that leaves with a reset ends its job; nothing about it
+        reaches stderr."""
+        proxy = run_proxy(ProxyConfig())
+        done = threading.Event()
+        shutdown_request = proxy.shutdown_request
+
+        def shutdown_and_note(request):  # the last step of every job
+            shutdown_request(request)
+            done.set()
+
+        proxy.shutdown_request = shutdown_and_note
+        try:
+            with socket.create_connection(proxy.address, timeout=5) as sock:
+                sock.sendall(b"GET http://")
+                time.sleep(0.05)  # the proxy is reading the head
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            assert done.wait(5)
+        finally:
+            proxy.stop()
         assert "Traceback" not in capfd.readouterr().err
 
     def test_valid_body_still_forwarded(self, stub):
