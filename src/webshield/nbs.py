@@ -265,8 +265,9 @@ def gate(
     any lookup, then learns the first address's class when it differs
     from the one decided on.  It decides again when the host was known
     (a rebind) or when another request learned it first, so each
-    hostname gets exactly one learning request.  A blocked request gets
-    no address.  Raises OSError when the resolver fails.
+    hostname gets exactly one learning request, whose reason names the
+    class learned and whether it crosses the boundary.  A blocked request
+    gets no address.  Raises OSError when the resolver fails.
     """
     learning = mode is NbsMode.LEARN_ON_REPLY
     if learning:
@@ -290,4 +291,9 @@ def gate(
         replaced = cache.learn(host, peer)
         if decision.target is not None or replaced is not None:
             decision = decide(mode, origin_class, host, None, cache)
+    if decision.value is Decision.ALLOW_AND_LEARN:
+        crossing = (", which crosses the boundary: this one request passes"
+                    if crosses_boundary(origin_class, peer) else ": no crossing")
+        decision = BoundaryDecision(Decision.ALLOW_AND_LEARN, f"first contact with {host!r}; "
+                                    f"learned {peer.value} before the connect{crossing}")
     return decision, None if decision.value is Decision.BLOCK else address

@@ -29,7 +29,9 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler
+from email import message_from_string
+from email.utils import formatdate
+from http import HTTPStatus
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -51,19 +53,18 @@ MAX_CONNECTIONS = 1100
 _BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\n"
                b"Content-Length: 0\r\nConnection: close\r\n\r\n")
 
+# request fields never forwarded, with those the client's Connection names
 _HOP_BY_HOP = {
-    "connection",
-    "proxy-connection",
-    "keep-alive",
-    "te",
-    "trailers",
-    "transfer-encoding",
-    "upgrade",
-    "proxy-authorization",
-    "proxy-authenticate",
+    "connection", "proxy-connection", "keep-alive", "te", "trailers", "transfer-encoding",
+    "upgrade", "proxy-authorization", "proxy-authenticate",
     "expect",  # the upstream gets the whole body at once; the proxy answers it
+    "host",  # taken from the request target (RFC 9112 section 3.2.2)
 }
 _CONTROL_OR_SPACE = re.compile("[\x00-\x20\x7f]")
+_VERSION = re.compile(r"HTTP/([0-9]+)\.([0-9]+)")
+_MAX_LINE = 65536  # bytes in the request line and in each header line
+_MAX_HEADERS = 100
+_FORWARDED_METHODS = {"GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH"}
 
 
 @dataclass
@@ -128,62 +129,70 @@ class DecisionLog:
                 self._file = None
 
 
-class _ProxyHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "webshield-nbs"
+class _ProxyHandler(socketserver.StreamRequestHandler):
     timeout = CLIENT_TIMEOUT_S  # applied to the client socket by StreamRequestHandler.setup
 
-    # ------------------------------------------------------------------
-    # decision plumbing
+    def handle(self) -> None:
+        """Read one request head, then tunnel it, forward it, or refuse it.
 
-    def log_message(self, fmt, *args):  # silence default stderr chatter
-        pass
+        One empty line may precede the request line (RFC 9112 section 2.2).
+        A request line over ``_MAX_LINE`` bytes gets 414; a header line
+        over it, or more than ``_MAX_HEADERS`` of them, 431; a version of 2
+        or more 505; any other malformed head, including one cut off at
+        EOF, 400.  A client that leaves before its first byte gets no reply.
+        """
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            line = self.rfile.readline(_MAX_LINE + 1)
+        elif not line:
+            return
+        if len(line) > _MAX_LINE:
+            self._reply(414, f"request line longer than {_MAX_LINE} bytes")
+            return
+        words = line.decode("latin-1").split()
+        version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+        if version is None:
+            self._reply(400, "the request line needs a method, a target and an "
+                             "HTTP/<major>.<minor> version")
+            return
+        major, minor = int(version[1]), int(version[2])
+        if major >= 2:
+            self._reply(505, f"HTTP version {words[2]} is not supported")
+            return
+        fields = []
+        while (field := self.rfile.readline(_MAX_LINE + 1)) not in (b"\r\n", b"\n"):
+            if len(field) > _MAX_LINE or len(fields) == _MAX_HEADERS:
+                self._reply(431, f"request head exceeds {_MAX_HEADERS} header lines "
+                                 f"of {_MAX_LINE} bytes")
+                return
+            if not field.endswith(b"\n"):  # the client closed mid-head
+                self._reply(400, "request head ended before its blank line")
+                return
+            fields.append(field)
+        headers = message_from_string(b"".join(fields).decode("latin-1"))
+        method, target = words[:2]
+        if method == "CONNECT":
+            self._tunnel(target)
+        elif method in _FORWARDED_METHODS:
+            # RFC 9110 section 10.1.1: an HTTP/1.0 request's expectation is ignored
+            continues = ((major, minor) >= (1, 1)
+                         and headers.get("Expect", "").lower() == "100-continue")
+            self._handle_http(method, target, headers, continues)
+        else:
+            self._reply(501, f"method {method!r} is not supported")
 
-    def version_string(self):  # the base class appends the Python version
-        return self.server_version
-
-    expects_continue = False  # set by handle_expect_100
-
-    def parse_request(self):
-        """The base class's parse, after skipping one empty line before the
-        request line (RFC 9112 section 2.2); a blank request line gets a
-        400, not silence."""
-        if self.raw_requestline in (b"\r\n", b"\n"):
-            self.raw_requestline = self.rfile.readline(65537)
-            if len(self.raw_requestline) > 65536:  # as handle_one_request checks
-                self.requestline = self.request_version = self.command = ""
-                self.send_error(414)
-                return False
-        if super().parse_request():
-            return True
-        if not self.requestline.split():  # the base class closed without a reply
-            self.send_error(400, "Bad request syntax (blank request line)")
-        return False
-
-    def handle_expect_100(self):
-        # Sent, if at all, once the request is allowed and its upstream is
-        # connected: a blocked or refused request gets only its final reply.
-        self.expects_continue = True
-        return True
-
-    def send_response(self, code, message=None):
-        # The base class leaves out the status line and headers while the
-        # request version reads HTTP/0.9: its default until a version is
-        # parsed, and what a request line ending "HTTP/0.9" sets.
-        if self.request_version == "HTTP/0.9":
-            self.request_version = "HTTP/1.1"
-        super().send_response(code, message)
+    @staticmethod
+    def _head(status_line: str, headers: dict) -> bytes:
+        lines = [f"HTTP/1.1 {status_line}", "Server: webshield-nbs",
+                 f"Date: {formatdate(usegmt=True)}"]
+        lines += [f"{name}: {value}" for name, value in headers.items()]
+        return "\r\n".join(lines + ["Connection: close", "", ""]).encode("latin-1")
 
     def _reply(self, status: int, body: str, headers: dict | None = None) -> None:
-        """Send a complete response and close the connection."""
+        """Send a complete response; the connection closes after it."""
         payload = body.encode()
-        self.send_response(status)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        headers = {**(headers or {}), "Content-Length": len(payload)}
+        self.wfile.write(self._head(f"{status} {HTTPStatus(status).phrase}", headers) + payload)
 
     def _deny(self, host: str, cls: str, reason: str) -> None:
         self.server.log.log(host, cls, Decision.BLOCK.value, reason)
@@ -217,25 +226,25 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # plain HTTP forwarding
 
-    def _handle_http(self):
-        lengths = {value.strip() for value in self.headers.get_all("Content-Length", [])}
+    def _handle_http(self, method: str, target: str, headers, continues: bool) -> None:
+        lengths = {value.strip() for value in headers.get_all("Content-Length", [])}
         length_text = next(iter(lengths), "") or "0"
         try:
             if len(lengths) > 1:  # RFC 9112 section 6.3: an unrecoverable error
                 raise ValueError(f"conflicting Content-Length values: {sorted(lengths)!r}")
-            if not self.path.startswith("http://"):
+            if not target.startswith("http://"):
                 raise ValueError("proxy requires absolute-form http:// request targets; "
                                  "use CONNECT for https")
-            if _CONTROL_OR_SPACE.search(self.path):
-                raise ValueError(f"control character in request target {self.path!r}")
-            parts = urlsplit(self.path)
+            if _CONTROL_OR_SPACE.search(target):
+                raise ValueError(f"control character in request target {target!r}")
+            parts = urlsplit(target)
             host, port = split_authority(parts.netloc, 80)
             if not (length_text.isascii() and length_text.isdigit()):
                 raise ValueError(f"bad Content-Length: {length_text!r}")
         except ValueError as exc:
             self._reply(400, str(exc))
             return
-        if "Transfer-Encoding" in self.headers:  # only Content-Length bodies are forwarded
+        if "Transfer-Encoding" in headers:  # only Content-Length bodies are forwarded
             self._reply(411, "Transfer-Encoding is not supported; send a Content-Length")
             return
         length = int(length_text)
@@ -243,20 +252,22 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             self._reply(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
             return
         query = "?" + parts.query if parts.query else ""
-        lines = [f"{self.command} {parts.path or '/'}{query} HTTP/1.1"]
-        lines += [f"{name}: {value}" for name, value in self.headers.items()
-                  if name.lower() not in _HOP_BY_HOP]
-        if "Host" not in self.headers:
-            lines.append(f"Host: {parts.netloc}")
+        # the fields the client's Connection names are hop-by-hop (RFC 9110 section 7.6.1),
+        # except Content-Length, which frames the body sent on
+        dropped = _HOP_BY_HOP | {name.strip().lower() for value in headers.get_all(
+            "Connection", []) for name in value.split(",")} - {"content-length"}
+        lines = [f"{method} {parts.path or '/'}{query} HTTP/1.1"]
+        lines += [f"{name}: {value}" for name, value in headers.items()
+                  if name.lower() not in dropped]
+        lines += [f"Host: {parts.netloc}", "Connection: close", "", ""]
         # the head was read as latin-1, so encoding it back restores its bytes
-        head = "\r\n".join(lines + ["Connection: close", "", ""]).encode("latin-1")
+        head = "\r\n".join(lines).encode("latin-1")
         upstream = self._open_upstream(host, port)
         if upstream is None:
             return
         with upstream:
-            if self.expects_continue:
-                self.send_response_only(100)
-                self.end_headers()
+            if continues:  # only now: a refused request gets its final reply alone
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             body = self.rfile.read(length)
             if len(body) < length:  # the client closed mid-body: send the target nothing
                 self._reply(400, f"request body ended after {len(body)} of {length} bytes")
@@ -269,7 +280,6 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             except OSError as exc:
                 self._bad_gateway(f"upstream connection failed: {exc}")
                 return
-            self.close_connection = True  # the relayed reply ends when the upstream closes
             try:
                 while data:
                     self.wfile.write(data)
@@ -277,29 +287,19 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             except OSError:
                 pass  # part of the reply is out: closing is the only signal left
 
-    do_GET = _handle_http
-    do_POST = _handle_http
-    do_PUT = _handle_http
-    do_DELETE = _handle_http
-    do_HEAD = _handle_http
-    do_OPTIONS = _handle_http
-    do_PATCH = _handle_http
-
     # ------------------------------------------------------------------
     # CONNECT tunneling
 
-    def do_CONNECT(self):
+    def _tunnel(self, target: str) -> None:
         try:
-            host, port = split_authority(self.path, 443)
+            host, port = split_authority(target, 443)
         except ValueError as exc:
             self._reply(400, str(exc))
             return
         upstream = self._open_upstream(host, port)
         if upstream is None:
             return
-        self.send_response(200, "Connection Established")
-        self.send_header("Connection", "close")
-        self.end_headers()
+        self.wfile.write(self._head("200 Connection Established", {}))
         self._pump(self.connection, upstream)
 
     def _pump(self, client: socket.socket, upstream: socket.socket) -> None:
@@ -327,7 +327,6 @@ class _ProxyHandler(BaseHTTPRequestHandler):
             pass
         finally:
             upstream.close()
-            self.close_connection = True
 
 
 class BoundaryProxy(socketserver.TCPServer):
@@ -373,8 +372,8 @@ class BoundaryProxy(socketserver.TCPServer):
             request, client_address = job
             try:
                 self.finish_request(request, client_address)
-            except ConnectionError:
-                pass  # the client left; every upstream error is answered in the handler
+            except (ConnectionError, TimeoutError):
+                pass  # the client left or went silent; upstream errors are answered in the handler
             except Exception:
                 self.handle_error(request, client_address)
             finally:

@@ -458,6 +458,17 @@ class TestGate:
         assert blocked.value is Decision.BLOCK
         assert address is None
 
+    def test_learn_mode_public_first_contact_says_no_crossing(self, monkeypatch):
+        infos = [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("93.184.216.34", 80))]
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *a, **k: list(infos))
+        decision, address = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "pub.example",
+                                 80, LearnCache())
+        assert (decision.value, decision.target) == (Decision.ALLOW_AND_LEARN, None)
+        assert decision.reason == (
+            "first contact with 'pub.example'; learned public before the connect: no crossing"
+        )
+        assert address == ("93.184.216.34", 80)
+
     def test_learn_mode_block_needs_no_resolver(self, monkeypatch):
         def no_resolver(*args, **kwargs):
             raise AssertionError("a cached block must not resolve")

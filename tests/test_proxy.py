@@ -16,7 +16,7 @@ import time
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from webshield import proxy as proxy_module
@@ -379,6 +379,21 @@ class TestLearnOnReplyMode:
             "localhost", "unknown", "AllowAndLearn"
         )
 
+    def test_first_contact_reason_names_the_class_learned(self, stub, tmp_path):
+        log = tmp_path / "learn.jsonl"
+        proxy = run_proxy(ProxyConfig(mode=NbsMode.LEARN_ON_REPLY, log_path=log))
+        try:
+            status, _, _ = proxy_request(proxy.address, f"http://localhost:{stub.port}/one")
+            assert status == 200
+        finally:
+            proxy.stop()
+        record = json.loads(log.read_text().splitlines()[0])
+        assert record["class"] == "unknown"
+        assert record["reason"] == (
+            "first contact with 'localhost'; learned loopback before the connect, "
+            "which crosses the boundary: this one request passes"
+        )
+
     @pytest.mark.parametrize("head", [
         "GET http://rebind.example:{port}/secret HTTP/1.1\r\n\r\n",
         "CONNECT rebind.example:{port} HTTP/1.1\r\n\r\n",
@@ -493,12 +508,17 @@ class TestMalformedRequests:
         ("\r\n\r\nGET http://127.0.0.1:{port}/ HTTP/1.1\r\n\r\n", 400),
         # exactly the longest line read: nothing is left unread to reset the reply
         ("\r\nGET http://127.0.0.1/" + "a" * (65537 - 21), 414),
+        ("GET http://127.0.0.1:{port}/ HTTP/1.1\r\n" + "X-N: 1\r\n" * 101 + "\r\n", 431),
+        ("GET http://127.0.0.1:{port}/ HTTP/1.1\r\nX-Long: " + "a" * (65537 - 8), 431),
+        ("BREW http://127.0.0.1:{port}/ HTTP/1.1\r\n\r\n", 501),
+        ("GET http://127.0.0.1:{port}/\r\n\r\n", 400),
     ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
             "connect-port-abc", "connect-port-99999", "connect-bare-v6", "length-zz",
             "length-negative", "length-huge", "path-control-char", "empty-v6-host",
             "empty-host", "connect-empty-host", "connect-unclosed-bracket", "chunked-body",
             "length-conflict", "binary-request-line", "blank-request-line", "http2-version",
-            "http2-preface", "http09-version", "two-empty-lines", "long-line-after-empty-line"])
+            "http2-preface", "http09-version", "two-empty-lines", "long-line-after-empty-line",
+            "101-header-lines", "long-header-line", "unknown-method", "no-version"])
     def test_bad_request_answered_4xx_and_proxy_keeps_serving(
         self, stub, tmp_path, head, expected
     ):
@@ -583,7 +603,9 @@ class TestMalformedRequests:
 
         @settings(max_examples=60, deadline=None)
         @given(_ANY_REQUEST)
+        @example(b"GET http://93.184.216.34/ HTTP/1.1\r\nX-Unfinished: ab")  # a public target
         def check(raw):
+            connects = len(upstreams)
             with socket.create_connection(proxy.address, timeout=2.0) as sock:
                 sock.sendall(raw.replace(b"{port}", str(stub.port).encode()))
                 sock.shutdown(socket.SHUT_WR)  # a head cut short ends here
@@ -593,6 +615,8 @@ class TestMalformedRequests:
             status = _STATUS_LINE.match(reply)
             assert status, reply[:80]
             assert int(status[1]) in {200, 400, 403, 411, 413, 414, 431, 501, 502, 503, 505}
+            if b"\n\r\n" not in raw and b"\n\n" not in raw:  # no blank line ends the head
+                assert len(upstreams) == connects
 
         proxy = run_proxy(ProxyConfig(mode=NbsMode.PRE_RESOLVE))
         try:
@@ -653,6 +677,47 @@ class TestMalformedRequests:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"10 of 100 bytes" in reply
         assert stub.received == b""
+
+    @pytest.mark.parametrize("head", [
+        "GET http://127.0.0.1:{port}/ HTTP/1.1\r\nX-Unfinished: ab",
+        "GET http://127.0.0.1:{port}/ HTTP/1.1\r\nX-Done: 1\r\n",
+        "GET http://127.0.0.1:{port}/ HTTP/1.1",
+        "CONNECT 127.0.0.1:{port} HTTP/1.1\r\n",
+    ], ids=["mid-field", "no-blank-line", "mid-request-line", "connect"])
+    def test_head_cut_off_at_eof_reaches_no_target(self, stub, tmp_path, head):
+        """A client that half-closes before the blank line that ends its
+        head gets 400; the head is not decided, logged or forwarded."""
+        log = tmp_path / "decisions.jsonl"
+        proxy = run_proxy(ProxyConfig(
+            mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK, log_path=log
+        ))
+        try:
+            with socket.create_connection(proxy.address, timeout=5) as sock:
+                sock.sendall(head.format(port=stub.port).encode())
+                sock.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        finally:
+            proxy.stop()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert (stub.connections, stub.received) == (0, b"")
+        assert log.read_text() == ""
+
+    def test_head_at_its_bounds_is_forwarded(self, stub):
+        """100 header lines, one of them 65,536 bytes with its CRLF, pass."""
+        fields = ["X-%d: 1\r\n" % i for i in range(99)]
+        fields.append("X-Long: " + "a" * (65536 - 10) + "\r\n")
+        proxy = run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+        try:
+            reply = raw_request(proxy.address, f"GET http://127.0.0.1:{stub.port}/ HTTP/1.1\r\n"
+                                + "".join(fields) + "\r\n")
+        finally:
+            proxy.stop()
+        assert reply == STUB_OK
+        assert all(field.encode() in stub.received for field in fields)
 
     def test_client_that_resets_mid_head_ends_its_job_quietly(self, capfd):
         """A client that leaves with a reset ends its job; nothing about it
@@ -760,6 +825,19 @@ class TestExpectContinue:
         assert b"expect" not in stub.received.partition(b"\r\n\r\n")[0].lower()
         assert stub.connections == 1
 
+    def test_expectation_of_an_http10_request_is_ignored(self, stub):
+        """RFC 9110 section 10.1.1: no 100 for an HTTP/1.0 request."""
+        proxy = run_proxy(
+            ProxyConfig(mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK)
+        )
+        try:
+            reply = raw_request(proxy.address, self.HEAD.replace("HTTP/1.1", "HTTP/1.0").format(
+                host="127.0.0.1", port=stub.port) + "hello")
+        finally:
+            proxy.stop()
+        assert reply == STUB_OK
+        assert stub.connections == 1
+
 
 class TestRelay:
     """Plain HTTP replies reach the client as the upstream sent them."""
@@ -836,6 +914,49 @@ class TestRelay:
         assert target.received == (
             f"GET /p?q=1 HTTP/1.1\r\nX-Client: 1\r\nHost: 127.0.0.1:{target.port}\r\n"
             "Connection: close\r\n\r\n"
+        ).encode()
+
+    @pytest.mark.parametrize("fields", [
+        "Connection: x-secret\r\nX-Secret: 1\r\n",
+        "X-Secret: 1\r\nX-Other: 2\r\nConnection: keep-alive, X-SECRET\r\n"
+        "Connection: x-other\r\n",
+    ], ids=["one", "list-and-repeat"])
+    def test_fields_the_connection_header_names_are_not_forwarded(self, scripted, fields):
+        target = scripted(b"HTTP/1.1 204 No Content\r\n\r\n")
+        proxy = self._proxy()
+        try:
+            raw_request(proxy.address, f"GET http://127.0.0.1:{target.port}/ HTTP/1.1\r\n"
+                                       f"X-Client: 1\r\n{fields}\r\n")
+        finally:
+            proxy.stop()
+        assert target.received == (
+            f"GET / HTTP/1.1\r\nX-Client: 1\r\nHost: 127.0.0.1:{target.port}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode()
+
+    def test_connection_cannot_drop_the_length_of_a_body(self, scripted):
+        target = scripted(b"HTTP/1.1 204 No Content\r\n\r\n")
+        proxy = self._proxy()
+        try:
+            raw_request(proxy.address, f"POST http://127.0.0.1:{target.port}/ HTTP/1.1\r\n"
+                                       "Connection: content-length\r\nContent-Length: 3\r\n"
+                                       "\r\nabc")
+        finally:
+            proxy.stop()
+        assert target.received.startswith(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n")
+
+    @pytest.mark.parametrize("authority", ["127.0.0.1:{port}", "localhost:{port}"])
+    def test_host_comes_from_the_request_target(self, scripted, authority):
+        target = scripted(b"HTTP/1.1 204 No Content\r\n\r\n")
+        authority = authority.format(port=target.port)
+        proxy = self._proxy()
+        try:
+            raw_request(proxy.address, f"GET http://{authority}/ HTTP/1.1\r\n"
+                                       "Host: other.example\r\nhost: 10.0.0.1\r\n\r\n")
+        finally:
+            proxy.stop()
+        assert target.received == (
+            f"GET / HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n"
         ).encode()
 
 

@@ -25,7 +25,9 @@ keeps the same summary of every ``workload_metrics`` value of
 ``time_shield_ms``, ...), so a layer claim rests on the same pairs,
 and of every ``input_shares`` value (``repeated_canvas_reads``, ...), so
 a claim that helps only inputs with some property cites that property's
-share from the same runs.
+share from the same runs.  ``loadavg_1m`` summarizes the host's 1-minute
+load average as each of the side's runs started, so a noisy metric can
+be read against the load it ran under.
 Those figures time whole requests and commands from outside the
 program, so they also see costs no traced span covers: the proxy's
 ``proxy.request`` span starts inside the handler, after the connection
@@ -169,6 +171,8 @@ def main(argv=None) -> int:
                 metrics["input_shares"] = {
                     name: summary([r["detail"]["input_shares"][name] for r in side_runs])
                     for name in side_runs[0]["detail"]["input_shares"]}
+                metrics["loadavg_1m"] = summary(
+                    [r["detail"]["machine"]["loadavg_at_start"][0] for r in side_runs])
                 entry[side] = metrics
             entry["child_wins"] = {
                 name: sum((c < p) if is_lower else (c > p) for p, c in zip(
