@@ -164,8 +164,11 @@ def split_authority(authority: str, default_port: int) -> tuple[str, int]:
     resolver needs: no empty label, none over 63 characters) and the port
     is 1-65535, and for a bracket left open or followed by anything but
     ``:port``; a bare IPv6 literal is rejected too, as its colons cannot
-    be told from a port separator.
+    be told from a port separator, and so is userinfo (``user@host``),
+    which names no host to resolve.
     """
+    if "@" in authority:
+        raise ValueError(f"userinfo in request target {authority!r}")
     if authority.startswith("["):  # bracketed IPv6
         host, bracket, rest = authority[1:].partition("]")
         if not bracket or rest[:1] not in ("", ":"):

@@ -29,7 +29,6 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email import message_from_string
 from email.utils import formatdate
 from http import HTTPStatus
 from pathlib import Path
@@ -61,6 +60,9 @@ _HOP_BY_HOP = {
     "host",  # taken from the request target (RFC 9112 section 3.2.2)
 }
 _CONTROL_OR_SPACE = re.compile("[\x00-\x20\x7f]")
+# a token, a colon and a value without CR or NUL (RFC 9112 section 5, RFC 9110
+# section 5.5); the SP/HTAB before the value and the line ending are not kept
+_FIELD_LINE = re.compile(r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*([^\r\n\x00]*)\r?\n")
 _VERSION = re.compile(r"HTTP/([0-9]+)\.([0-9]+)")
 _MAX_LINE = 65536  # bytes in the request line and in each header line
 _MAX_HEADERS = 100
@@ -129,6 +131,11 @@ class DecisionLog:
                 self._file = None
 
 
+def _values(fields: list, name: str) -> list[str]:
+    """The values of every field called ``name`` (lower case), in order."""
+    return [value for field, value in fields if field.lower() == name]
+
+
 class _ProxyHandler(socketserver.StreamRequestHandler):
     timeout = CLIENT_TIMEOUT_S  # applied to the client socket by StreamRequestHandler.setup
 
@@ -139,7 +146,9 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
         A request line over ``_MAX_LINE`` bytes gets 414; a header line
         over it, or more than ``_MAX_HEADERS`` of them, 431; a version of 2
         or more 505; any other malformed head, including one cut off at
-        EOF, 400.  A client that leaves before its first byte gets no reply.
+        EOF and one with a field line that is not ``token ":" value``
+        (no colon, no name, a space in the name, or an obs-fold), 400.  A
+        client that leaves before its first byte gets no reply.
         """
         line = self.rfile.readline(_MAX_LINE + 1)
         if line in (b"\r\n", b"\n"):
@@ -159,25 +168,32 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
         if major >= 2:
             self._reply(505, f"HTTP version {words[2]} is not supported")
             return
-        fields = []
-        while (field := self.rfile.readline(_MAX_LINE + 1)) not in (b"\r\n", b"\n"):
-            if len(field) > _MAX_LINE or len(fields) == _MAX_HEADERS:
+        lines = []
+        while (line := self.rfile.readline(_MAX_LINE + 1)) not in (b"\r\n", b"\n"):
+            if len(line) > _MAX_LINE or len(lines) == _MAX_HEADERS:
                 self._reply(431, f"request head exceeds {_MAX_HEADERS} header lines "
                                  f"of {_MAX_LINE} bytes")
                 return
-            if not field.endswith(b"\n"):  # the client closed mid-head
+            if not line.endswith(b"\n"):  # the client closed mid-head
                 self._reply(400, "request head ended before its blank line")
                 return
-            fields.append(field)
-        headers = message_from_string(b"".join(fields).decode("latin-1"))
+            lines.append(line)
+        fields = []  # (name, value) in the order sent
+        for line in lines:
+            text = line.decode("latin-1")
+            field = _FIELD_LINE.fullmatch(text)
+            if field is None:
+                self._reply(400, f"malformed header field line {text.rstrip()!r}")
+                return
+            fields.append(field.groups())
         method, target = words[:2]
         if method == "CONNECT":
             self._tunnel(target)
         elif method in _FORWARDED_METHODS:
             # RFC 9110 section 10.1.1: an HTTP/1.0 request's expectation is ignored
-            continues = ((major, minor) >= (1, 1)
-                         and headers.get("Expect", "").lower() == "100-continue")
-            self._handle_http(method, target, headers, continues)
+            expect = (_values(fields, "expect") or [""])[0]
+            continues = (major, minor) >= (1, 1) and expect.lower() == "100-continue"
+            self._handle_http(method, target, fields, continues)
         else:
             self._reply(501, f"method {method!r} is not supported")
 
@@ -226,8 +242,8 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
     # ------------------------------------------------------------------
     # plain HTTP forwarding
 
-    def _handle_http(self, method: str, target: str, headers, continues: bool) -> None:
-        lengths = {value.strip() for value in headers.get_all("Content-Length", [])}
+    def _handle_http(self, method: str, target: str, fields: list, continues: bool) -> None:
+        lengths = {value.strip() for value in _values(fields, "content-length")}
         length_text = next(iter(lengths), "") or "0"
         try:
             if len(lengths) > 1:  # RFC 9112 section 6.3: an unrecoverable error
@@ -244,7 +260,7 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
         except ValueError as exc:
             self._reply(400, str(exc))
             return
-        if "Transfer-Encoding" in headers:  # only Content-Length bodies are forwarded
+        if _values(fields, "transfer-encoding"):  # only Content-Length bodies are forwarded
             self._reply(411, "Transfer-Encoding is not supported; send a Content-Length")
             return
         length = int(length_text)
@@ -254,11 +270,10 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
         query = "?" + parts.query if parts.query else ""
         # the fields the client's Connection names are hop-by-hop (RFC 9110 section 7.6.1),
         # except Content-Length, which frames the body sent on
-        dropped = _HOP_BY_HOP | {name.strip().lower() for value in headers.get_all(
-            "Connection", []) for name in value.split(",")} - {"content-length"}
+        dropped = _HOP_BY_HOP | {name.strip().lower() for value in _values(
+            fields, "connection") for name in value.split(",")} - {"content-length"}
         lines = [f"{method} {parts.path or '/'}{query} HTTP/1.1"]
-        lines += [f"{name}: {value}" for name, value in headers.items()
-                  if name.lower() not in dropped]
+        lines += [f"{name}: {value}" for name, value in fields if name.lower() not in dropped]
         lines += [f"Host: {parts.netloc}", "Connection: close", "", ""]
         # the head was read as latin-1, so encoding it back restores its bytes
         head = "\r\n".join(lines).encode("latin-1")

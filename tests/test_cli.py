@@ -1004,6 +1004,12 @@ class TestNbsCli:
         assert result.exit_code == 1
         assert message in result.output
 
+    @pytest.mark.parametrize("args", [["--resolved", "127.0.0.1"], ["--mode", "learn"]],
+                             ids=["resolved", "learn"])
+    def test_check_userinfo_is_domain_error(self, runner, args):
+        result = runner.invoke(main, ["nbs", "check", "--target", "user@127.0.0.1:80", *args])
+        assert_clean_exit(result, 1, "userinfo in request target 'user@127.0.0.1:80'")
+
     @pytest.mark.parametrize("target", ["x..y:80", ".example", "a" * 64 + ".com"])
     @pytest.mark.parametrize("mode", ["preresolve", "learn"])
     def test_check_host_idna_cannot_encode_is_domain_error(self, runner, target, mode):

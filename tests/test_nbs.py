@@ -369,6 +369,15 @@ class TestSplitAuthority:
         with pytest.raises(ValueError):
             split_authority(authority, 80)
 
+    @pytest.mark.parametrize(
+        "authority",
+        ["user@127.0.0.1:80", "user:secret@site.example", "@site.example", "site.example@",
+         "[::1]@x:80"],
+    )
+    def test_userinfo_rejected(self, authority):
+        with pytest.raises(ValueError, match="userinfo"):
+            split_authority(authority, 80)
+
 
 AUTHORITY_TEXT = st.text(alphabet="[]:.%0123456789abcdefx") | st.text()
 
