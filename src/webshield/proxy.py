@@ -61,8 +61,9 @@ _HOP_BY_HOP = {
 }
 _CONTROL_OR_SPACE = re.compile("[\x00-\x20\x7f]")
 # a token, a colon and a value without CR or NUL (RFC 9112 section 5, RFC 9110
-# section 5.5); the SP/HTAB before the value and the line ending are not kept
-_FIELD_LINE = re.compile(r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*([^\r\n\x00]*)\r?\n")
+# section 5.5).  The SP/HTAB before the value is stripped after the match: a
+# pattern for it would overlap the value's and backtrack in quadratic time.
+_FIELD_LINE = re.compile(r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):([^\r\n\x00]*)\r?\n")
 _VERSION = re.compile(r"HTTP/([0-9]+)\.([0-9]+)")
 _MAX_LINE = 65536  # bytes in the request line and in each header line
 _MAX_HEADERS = 100
@@ -146,9 +147,10 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
         A request line over ``_MAX_LINE`` bytes gets 414; a header line
         over it, or more than ``_MAX_HEADERS`` of them, 431; a version of 2
         or more 505; any other malformed head, including one cut off at
-        EOF and one with a field line that is not ``token ":" value``
-        (no colon, no name, a space in the name, or an obs-fold), 400.  A
-        client that leaves before its first byte gets no reply.
+        EOF and one with a field line that is not ``token ":" value`` with
+        no CR or NUL in the value (no colon, an empty name, SP, HTAB or a
+        control character in the name, or an obs-fold), 400.  A client that
+        leaves before its first byte gets no reply.
         """
         line = self.rfile.readline(_MAX_LINE + 1)
         if line in (b"\r\n", b"\n"):
@@ -168,24 +170,21 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
         if major >= 2:
             self._reply(505, f"HTTP version {words[2]} is not supported")
             return
-        lines = []
+        fields = []  # (name, value) in the order sent
         while (line := self.rfile.readline(_MAX_LINE + 1)) not in (b"\r\n", b"\n"):
-            if len(line) > _MAX_LINE or len(lines) == _MAX_HEADERS:
+            if len(line) > _MAX_LINE or len(fields) == _MAX_HEADERS:
                 self._reply(431, f"request head exceeds {_MAX_HEADERS} header lines "
                                  f"of {_MAX_LINE} bytes")
                 return
             if not line.endswith(b"\n"):  # the client closed mid-head
                 self._reply(400, "request head ended before its blank line")
                 return
-            lines.append(line)
-        fields = []  # (name, value) in the order sent
-        for line in lines:
             text = line.decode("latin-1")
             field = _FIELD_LINE.fullmatch(text)
             if field is None:
                 self._reply(400, f"malformed header field line {text.rstrip()!r}")
                 return
-            fields.append(field.groups())
+            fields.append((field[1], field[2].lstrip(" \t")))
         method, target = words[:2]
         if method == "CONNECT":
             self._tunnel(target)

@@ -610,6 +610,23 @@ class TestMalformedRequests:
         assert (stub.connections, stub.received) == (0, b"")
         assert log.read_text() == ""
 
+    def test_long_blank_value_before_a_bad_byte_is_refused_quickly(self, stub):
+        """Every thread of the proxy waits while one field line is matched,
+        so a line of the longest length read must not take long to refuse."""
+        proxy = run_proxy(ProxyConfig(
+            mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK
+        ))
+        try:
+            started = time.monotonic()
+            reply = raw_request(proxy.address, f"GET http://127.0.0.1:{stub.port}/ HTTP/1.1\r\n"
+                                               "X:" + " " * 65000 + "\x00\r\n\r\n")
+            elapsed = time.monotonic() - started
+        finally:
+            proxy.stop()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert elapsed < 1.0
+        assert stub.connections == 0
+
     @pytest.mark.parametrize("mode", list(NbsMode))
     @pytest.mark.parametrize("head", [
         "GET http://user@127.0.0.1:{port}/ HTTP/1.1\r\n\r\n",
