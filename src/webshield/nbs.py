@@ -75,6 +75,12 @@ _RANGES = [
     (ipaddress.ip_network("fc00::/7"), AddressClass.UNIQUE_LOCAL),
 ]
 
+# _RANGES as integers: (version, network, mask, class) per row, so a
+# lookup needs no ipaddress object for the address it classifies.
+_TABLE = tuple(
+    (net.version, int(net.network_address), int(net.netmask), cls) for net, cls in _RANGES
+)
+
 _NAT64 = ipaddress.ip_network("64:ff9b::/96")
 
 # Depth in the boundary ordering; crossing = src deeper than dst.
@@ -108,10 +114,23 @@ def parse_ip(value) -> ipaddress.IPv4Address | ipaddress.IPv6Address:
 
 
 def classify_address(value) -> AddressClass:
-    """Classify a syntactically valid IPv4/IPv6 address into its tier."""
-    ip = parse_ip(value)
-    for network, cls in _RANGES:
-        if ip in network:
+    """Classify a syntactically valid IPv4/IPv6 address into its tier.
+
+    A string without a colon can only be dotted-quad IPv4, which
+    ``inet_pton`` reads by the same rules as ``ipaddress`` (four decimal
+    parts of 0-255, no leading zeros); anything else goes through
+    ``parse_ip``.
+    """
+    if type(value) is str and ":" not in value:
+        try:
+            version, number = 4, int.from_bytes(socket.inet_pton(socket.AF_INET, value), "big")
+        except (OSError, ValueError):
+            raise ValueError(f"malformed IP address: {value!r}") from None
+    else:
+        ip = parse_ip(value)
+        version, number = ip.version, int(ip)
+    for row_version, network, mask, cls in _TABLE:
+        if row_version == version and number & mask == network:
             return cls
     return AddressClass.PUBLIC
 
@@ -189,8 +208,15 @@ def split_authority(authority: str, default_port: int) -> tuple[str, int]:
     return host, int(port_text)
 
 
+_IPV4_CHARACTERS = frozenset("0123456789.")
+
+
 def _literal_ip(host: str):
     candidate = host.strip("[]")
+    # without a colon only IPv4 is possible, so a name like "localhost"
+    # is turned away here, unparsed
+    if ":" not in candidate and not _IPV4_CHARACTERS.issuperset(candidate):
+        return None
     try:
         return parse_ip(candidate)
     except ValueError:
@@ -207,6 +233,19 @@ def _block_reason(origin: AddressClass, target: AddressClass, host: str) -> str:
         f"request from {origin.value} origin would cross the network boundary "
         f"into {target.value} target {host!r}"
     )
+
+
+# Allow decisions name no host, so each (origin, "" or "learned ",
+# target) one is built once, here, and shared.
+_ALLOWS = {
+    (origin, learned, target): BoundaryDecision(
+        Decision.ALLOW, f"{origin.value} -> {learned}{target.value}: no crossing", target
+    )
+    for origin in AddressClass
+    for learned in ("", "learned ")
+    for target in AddressClass
+    if not crosses_boundary(origin, target)
+}
 
 
 def decide(
@@ -245,11 +284,7 @@ def decide(
         return BoundaryDecision(
             Decision.BLOCK, _block_reason(origin_class, target, target_host), target
         )
-    return BoundaryDecision(
-        Decision.ALLOW,
-        f"{origin_class.value} -> {learned}{target.value}: no crossing",
-        target,
-    )
+    return _ALLOWS[origin_class, learned, target]
 
 
 def gate(

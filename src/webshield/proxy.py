@@ -19,7 +19,6 @@ page hammering a blocked host does not flood the log.
 
 from __future__ import annotations
 
-import json
 import queue
 import re
 import select
@@ -29,8 +28,8 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email.utils import formatdate
 from http import HTTPStatus
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -82,7 +81,8 @@ class ProxyConfig:
 class DecisionLog:
     """JSONL decision log with per-target coalescing of blocks.
 
-    The file stays open until ``close``; every line is flushed as written.
+    The file stays open until ``close``.  It is unbuffered and each line
+    is one write, so a line is in the file when ``log`` returns.
     """
 
     def __init__(self, path: Path | None):
@@ -92,24 +92,29 @@ class DecisionLog:
         if path:
             path = Path(path)
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = open(path, "a")
+            self._file = open(path, "ab", buffering=0)
 
-    def _write(self, record: dict) -> None:
+    def _write(self, record: list) -> None:
+        """Write ``[t, host, class, decision, reason, coalesced]`` as the
+        bytes of ``json.dumps`` of the keyed record, plus a newline."""
         if self._file:  # None once closed: late lines are dropped
-            self._file.write(json.dumps(record) + "\n")
-            self._file.flush()
+            t, host, cls, decision, reason, coalesced = record
+            self._file.write(
+                f'{{"t": {_quote(t)}, "host": {_quote(host)}, "class": {_quote(cls)}, '
+                f'"decision": {_quote(decision)}, "reason": {_quote(reason)}, '
+                f'"coalesced": {coalesced}}}\n'.encode("ascii")
+            )
 
     def log(self, host: str, cls: str, decision: str, reason: str) -> None:
         with self._lock:
-            record = {"t": datetime.now(timezone.utc).isoformat(), "host": host, "class": cls,
-                      "decision": decision, "reason": reason, "coalesced": 1}
+            record = [datetime.now(timezone.utc).isoformat(), host, cls, decision, reason, 1]
             if decision != Decision.BLOCK.value:
                 self._write(record)
                 return
             now = time.monotonic()
             pending = self._pending.get((host, cls))
             if pending and now - pending[1] < COALESCE_WINDOW_S:
-                pending[0]["coalesced"] += 1
+                pending[0][-1] += 1
                 return
             if pending:
                 self._write(pending[0])
@@ -130,6 +135,19 @@ class DecisionLog:
             if self._file:
                 self._file.close()
                 self._file = None
+
+
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date(seconds: float) -> str:
+    """``seconds`` since the epoch as an IMF-fixdate (RFC 9110 section 5.6.7),
+    in English whatever the locale.  Written here because ``email.utils``,
+    the standard library's formatter, loads ten modules for this one call."""
+    t = time.gmtime(seconds)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
 def _values(fields: list, name: str) -> list[str]:
@@ -199,7 +217,7 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
     @staticmethod
     def _head(status_line: str, headers: dict) -> bytes:
         lines = [f"HTTP/1.1 {status_line}", "Server: webshield-nbs",
-                 f"Date: {formatdate(usegmt=True)}"]
+                 f"Date: {_http_date(time.time())}"]
         lines += [f"{name}: {value}" for name, value in headers.items()]
         return "\r\n".join(lines + ["Connection: close", "", ""]).encode("latin-1")
 
@@ -243,7 +261,7 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
 
     def _handle_http(self, method: str, target: str, fields: list, continues: bool) -> None:
         lengths = {value.strip() for value in _values(fields, "content-length")}
-        length_text = next(iter(lengths), "") or "0"
+        length_text = next(iter(lengths), "0")  # an empty value is refused below
         try:
             if len(lengths) > 1:  # RFC 9112 section 6.3: an unrecoverable error
                 raise ValueError(f"conflicting Content-Length values: {sorted(lengths)!r}")

@@ -146,6 +146,105 @@ class TestClassify:
             assert classify_address(ipaddress.IPv6Address(embedded)) is expected
 
 
+def ranges_oracle(value):
+    """The class by ``parse_ip`` and network membership in ``_RANGES``."""
+    ip = parse_ip(value)
+    for network, cls in nbs._RANGES:
+        if ip in network:
+            return cls
+    return AddressClass.PUBLIC
+
+
+def same_class_or_both_value_error(value):
+    try:
+        expected = ranges_oracle(value)
+    except ValueError:
+        with pytest.raises(ValueError):
+            classify_address(value)
+        return
+    assert classify_address(value) is expected
+
+
+IPV4_INT = st.integers(min_value=0, max_value=2**32 - 1)
+# parts with and without leading zeros, 3 to 5 of them, maybe a trailing dot
+QUAD_PART = st.integers(min_value=0, max_value=300).map(str) | st.text("0123456789", max_size=4)
+QUAD_TEXT = st.builds(
+    lambda parts, dot: ".".join(parts) + dot,
+    st.lists(QUAD_PART, min_size=3, max_size=5),
+    st.sampled_from(["", "."]),
+)
+ADDRESS_TEXT = st.text(alphabet="0123456789.% \x00\u0661\u0663\uff10\u00b2", max_size=20)
+
+
+def embedded_forms(v):
+    """v4-mapped, NAT64 and 6to4 IPv6 addresses that embed the v4 address ``v``."""
+    return [ipaddress.IPv6Address(raw) for raw in
+            ((0xFFFF << 32) | v, (0x64FF9B << 96) | v, (0x2002 << 112) | (v << 80))]
+
+
+class TestClassifierMatchesRanges:
+    """``classify_address`` reads strings and integers its own way; these
+    check it against ``parse_ip`` plus ``_RANGES`` membership."""
+
+    def test_table_is_derived_from_ranges(self):
+        network = {4: ipaddress.IPv4Network, 6: ipaddress.IPv6Network}
+        rows = [(network[version]((number, mask.bit_count())), cls)
+                for version, number, mask, cls in nbs._TABLE]
+        assert rows == list(nbs._RANGES)
+        assert [int(net.netmask) for net, _ in nbs._RANGES] == [row[2] for row in nbs._TABLE]
+
+    @given(IPV4_INT)
+    @example(0)
+    @example(0x7F000001)
+    @example(0xA9FEFFFF)
+    @settings(max_examples=300)
+    def test_dotted_quads(self, v):
+        same_class_or_both_value_error(str(ipaddress.IPv4Address(v)))
+
+    @given(QUAD_TEXT | ADDRESS_TEXT)
+    @example("1.2.3.04")
+    @example("1.2.3")
+    @example("1.2.3.4.5")
+    @example("1.2.3.4.")
+    @example("127.0.0.1\x00")
+    @example("127.0.0.1%1")
+    @example(" 127.0.0.1")
+    @example("\u0661.2.3.4")
+    @example("")
+    @settings(max_examples=300)
+    def test_text(self, value):
+        same_class_or_both_value_error(value)
+
+    @given(st.integers(min_value=-(2**8), max_value=2**129))
+    @example(-1)
+    @example(2**32)
+    @example(2**128)
+    @settings(max_examples=300)
+    def test_ints(self, value):
+        same_class_or_both_value_error(value)
+
+    @given(IPV4_INT, st.integers(min_value=0, max_value=2**128 - 1))
+    @settings(max_examples=300)
+    def test_address_objects(self, v4, v6):
+        same_class_or_both_value_error(ipaddress.IPv4Address(v4))
+        same_class_or_both_value_error(ipaddress.IPv6Address(v6))
+
+    @given(IPV4_INT)
+    @example(0)
+    @example(0x7F000001)
+    @example(0xC0A80001)
+    @settings(max_examples=300)
+    def test_embedded_v4_forms(self, v):
+        for address in embedded_forms(v):
+            same_class_or_both_value_error(address)
+            same_class_or_both_value_error(str(address))
+            same_class_or_both_value_error(int(address))
+
+    def test_bytes_go_through_parse_ip(self):
+        same_class_or_both_value_error(b"\x7f\x00\x00\x01")
+        same_class_or_both_value_error(b"127.0.0.1")
+
+
 class TestCrossesBoundary:
     def test_public_to_loopback_crosses(self):
         assert crosses_boundary(AddressClass.PUBLIC, AddressClass.LOOPBACK)
@@ -340,6 +439,20 @@ class TestDecide:
             NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "site.example", None, cache
         ).reason == "public -> learned public: no crossing"
 
+    def test_allow_decisions_are_shared(self):
+        cache = LearnCache()
+        cache.learn("site.example", AddressClass.PUBLIC)
+        for args in [
+            (NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, "a.example", "93.184.216.34"),
+            (NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "8.8.8.8", None, None),
+            (NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC, "site.example", None, cache),
+        ]:
+            assert decide(*args) is decide(*args)
+        # one per (origin, literal or learned, target) that does not cross
+        assert len(nbs._ALLOWS) == sum(
+            not oracle_crosses(src, dst) for src in AddressClass for dst in AddressClass
+        ) * 2
+
     def test_block_decision_reason_nonempty(self):
         decision = decide(NbsMode.PRE_RESOLVE, AddressClass.PUBLIC, "x", "127.0.0.1")
         assert isinstance(decision, BoundaryDecision)
@@ -416,6 +529,35 @@ class TestParserProperties:
         except ValueError:
             return
         assert isinstance(ip, (ipaddress.IPv4Address, ipaddress.IPv6Address))
+
+
+def literal_by_parse_ip(host):
+    try:
+        return parse_ip(host.strip("[]"))
+    except ValueError:
+        return None
+
+
+class TestLiteralIp:
+    """``_literal_ip`` turns names away before parsing; it must still
+    agree with parsing every host."""
+
+    @pytest.mark.parametrize("host", [
+        "localhost", "site.example", "printer.local", "a.b.c.d", "LOCALHOST",
+        "cafe", "dead.beef", "face", "abc.def.0.1", "ff",
+        "[::1]", "::1", "fe80::1%eth0", "[fe80::1%eth0]", "::ffff:127.0.0.1", "64:ff9b::a00:1",
+        "127.0.0.1", "10.0.0.1", "93.184.216.34", "0.0.0.0", "[127.0.0.1]", "1.2.3.04",
+        "1.2.3", "1.2.3.4.", "\u0661.2.3.4", "", "[]", "[", "]",
+    ])
+    def test_agrees_with_parse_ip(self, host):
+        assert nbs._literal_ip(host) == literal_by_parse_ip(host)
+
+    @given(AUTHORITY_TEXT)
+    @example("cafe")
+    @example("fe80::1%eth0")
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_parse_ip_on_any_text(self, host):
+        assert nbs._literal_ip(host) == literal_by_parse_ip(host)
 
 
 class TestGate:

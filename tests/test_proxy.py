@@ -5,12 +5,15 @@ checks assert that blocked requests never open a connection to it.
 """
 
 import contextlib
+import email.utils
 import http.client
 import json
+import pathlib
 import re
 import socket
 import struct
 import sys
+import tempfile
 import threading
 import time
 import types
@@ -523,6 +526,7 @@ class TestMalformedRequests:
         ("GET http://127.0.0.1:{port}/ HTTP/1.1\r\nX-A: a\x00b\r\n\r\n", 400),
         ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
          "5\r\nhello\r\n0\r\n\r\n", 411),
+        ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: \r\n\r\n", 400),
     ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
             "connect-port-abc", "connect-port-99999", "connect-bare-v6", "length-zz",
             "length-negative", "length-huge", "path-control-char", "empty-v6-host",
@@ -532,7 +536,7 @@ class TestMalformedRequests:
             "101-header-lines", "long-header-line", "unknown-method", "no-version",
             "field-no-colon", "field-name-space", "field-empty-name", "field-space-before-colon",
             "field-name-tab", "field-name-control", "field-obs-fold", "field-bare-cr",
-            "field-nul", "chunked-lower-case"])
+            "field-nul", "chunked-lower-case", "length-empty"])
     def test_bad_request_answered_4xx_and_proxy_keeps_serving(
         self, stub, tmp_path, head, expected
     ):
@@ -1221,6 +1225,74 @@ class TestDecisionLog:
         log.close()
         hosts = [json.loads(l)["host"] for l in path.read_text().splitlines()]
         assert hosts == ["blocked.example"]
+
+
+# quotes, backslashes, control and Latin-1 high characters, and beyond
+LOG_TEXT = st.text(st.characters(max_codepoint=0xFF)) | st.text()
+
+
+def dumps_line(line: bytes, host, cls, decision, reason, coalesced) -> bytes:
+    """``json.dumps`` of the record ``line`` holds, with ``line``'s own timestamp."""
+    record = {"t": json.loads(line)["t"], "host": host, "class": cls, "decision": decision,
+              "reason": reason, "coalesced": coalesced}
+    return (json.dumps(record) + "\n").encode()
+
+
+class TestDecisionLogBytes:
+    @given(LOG_TEXT, LOG_TEXT, st.sampled_from(["Allow", "AllowAndLearn"]))
+    @example('"\\', "\x00\x1f\x7f\xe9\xff", "Allow")
+    @settings(max_examples=150, deadline=None)
+    def test_allow_line_is_json_dumps(self, host, reason, decision):
+        with tempfile.TemporaryDirectory() as directory:
+            path = pathlib.Path(directory) / "log.jsonl"
+            log = DecisionLog(path)
+            try:
+                log.log(host, "public", decision, reason)
+                line = path.read_bytes()
+            finally:
+                log.close()
+        assert line == dumps_line(line, host, "public", decision, reason, 1)
+
+    @given(LOG_TEXT, LOG_TEXT, st.integers(min_value=2, max_value=5))
+    @example('a"b\\c', "\n\t\u2028\xa0", 3)
+    @settings(max_examples=150, deadline=None)
+    def test_coalesced_block_line_is_json_dumps(self, host, reason, count):
+        with tempfile.TemporaryDirectory() as directory:
+            path = pathlib.Path(directory) / "log.jsonl"
+            log = DecisionLog(path)
+            try:
+                for _ in range(count):
+                    log.log(host, "loopback", "Block", reason)
+                assert path.read_bytes() == b""  # the window is still open
+                log.flush()
+                line = path.read_bytes()
+            finally:
+                log.close()
+        assert line == dumps_line(line, host, "loopback", "Block", reason, count)
+
+    def test_line_is_in_the_file_when_log_returns(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        log = DecisionLog(path)
+        try:
+            with open(path, "rb") as reader:  # a second handle; log is never flushed
+                log.log("a.example", "public", "Allow", "public -> public: no crossing")
+                first = reader.read()
+                assert first == dumps_line(first, "a.example", "public", "Allow",
+                                           "public -> public: no crossing", 1)
+                log.log("b.example", "unknown", "AllowAndLearn", "first contact")
+                second = reader.read()
+                assert second == dumps_line(second, "b.example", "unknown", "AllowAndLearn",
+                                            "first contact", 1)
+        finally:
+            log.close()
+
+
+@given(st.floats(min_value=0, max_value=2**34, allow_nan=False))
+@example(0.0)
+@example(951782400.0)  # 29 Feb 2000
+@settings(max_examples=300)
+def test_date_header_is_what_formatdate_writes(seconds):
+    assert proxy_module._http_date(seconds) == email.utils.formatdate(seconds, usegmt=True)
 
 
 def test_proxy_runs_one_thread_of_its_own_and_stops_it(stub, monkeypatch):
