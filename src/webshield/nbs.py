@@ -248,6 +248,16 @@ _ALLOWS = {
 }
 
 
+def _decide_class(
+    origin_class: AddressClass, target: AddressClass, host: str, learned: str
+) -> BoundaryDecision:
+    """Block a request to ``host`` of class ``target`` that crosses the
+    boundary, else allow it; ``learned`` is "" or "learned "."""
+    if crosses_boundary(origin_class, target):
+        return BoundaryDecision(Decision.BLOCK, _block_reason(origin_class, target, host), target)
+    return _ALLOWS[origin_class, learned, target]
+
+
 def decide(
     mode: NbsMode,
     origin_class: AddressClass,
@@ -280,11 +290,7 @@ def decide(
             f"first contact with {target_host!r}; the class of the address it connects to "
             "is learned before the connect",
         )
-    if crosses_boundary(origin_class, target):
-        return BoundaryDecision(
-            Decision.BLOCK, _block_reason(origin_class, target, target_host), target
-        )
-    return _ALLOWS[origin_class, learned, target]
+    return _decide_class(origin_class, target, target_host, learned)
 
 
 def gate(
@@ -301,8 +307,8 @@ def gate(
     address blocks the request, else the first address's decision
     stands.  Learn-on-reply decides by literal or cache, blocking before
     any lookup, then learns the first address's class when it differs
-    from the one decided on.  It decides again when the host was known
-    (a rebind) or when another request learned it first, so each
+    from the one decided on.  It decides on that class when the host was
+    known (a rebind) or when another request learned it first, so each
     hostname gets exactly one learning request, whose reason names the
     class learned and whether it crosses the boundary.  A blocked request
     gets no address.  Raises OSError when the resolver fails.
@@ -328,7 +334,7 @@ def gate(
     if peer is not decision.target:
         replaced = cache.learn(host, peer)
         if decision.target is not None or replaced is not None:
-            decision = decide(mode, origin_class, host, None, cache)
+            decision = _decide_class(origin_class, peer, host, "learned ")
     if decision.value is Decision.ALLOW_AND_LEARN:
         crossing = (", which crosses the boundary: this one request passes"
                     if crosses_boundary(origin_class, peer) else ": no crossing")

@@ -58,12 +58,12 @@ _HOP_BY_HOP = {
     "expect",  # the upstream gets the whole body at once; the proxy answers it
     "host",  # taken from the request target (RFC 9112 section 3.2.2)
 }
-_CONTROL_OR_SPACE = re.compile("[\x00-\x20\x7f]")
+_NOT_VISIBLE = re.compile("[^!-~]")  # outside visible ASCII (RFC 5234 VCHAR)
 # a token, a colon and a value without CR or NUL (RFC 9112 section 5, RFC 9110
 # section 5.5).  The SP/HTAB before the value is stripped after the match: a
 # pattern for it would overlap the value's and backtrack in quadratic time.
 _FIELD_LINE = re.compile(r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):([^\r\n\x00]*)\r?\n")
-_VERSION = re.compile(r"HTTP/([0-9]+)\.([0-9]+)")
+_VERSION = re.compile(rb"HTTP/([0-9]+)\.([0-9]+)")
 _MAX_LINE = 65536  # bytes in the request line and in each header line
 _MAX_HEADERS = 100
 _FORWARDED_METHODS = {"GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH"}
@@ -161,14 +161,16 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         """Read one request head, then tunnel it, forward it, or refuse it.
 
-        One empty line may precede the request line (RFC 9112 section 2.2).
-        A request line over ``_MAX_LINE`` bytes gets 414; a header line
-        over it, or more than ``_MAX_HEADERS`` of them, 431; a version of 2
-        or more 505; any other malformed head, including one cut off at
-        EOF and one with a field line that is not ``token ":" value`` with
-        no CR or NUL in the value (no colon, an empty name, SP, HTAB or a
-        control character in the name, or an obs-fold), 400.  A client that
-        leaves before its first byte gets no reply.
+        One empty line may precede the request line (RFC 9112 section 2.2),
+        which splits at SP, HTAB, VT, FF and CR only (section 3).  A request
+        line over ``_MAX_LINE`` bytes gets 414; a header line over it, or
+        more than ``_MAX_HEADERS`` of them, 431; a version of 2 or more 505;
+        any other malformed head, including one cut off at EOF, one with a
+        field line that is not ``token ":" value`` with no CR or NUL in the
+        value (no colon, an empty name, SP, HTAB or a control character in
+        the name, or an obs-fold) and one whose target holds a byte outside
+        visible ASCII, 400.  A client that leaves before its first byte gets
+        no reply.
         """
         line = self.rfile.readline(_MAX_LINE + 1)
         if line in (b"\r\n", b"\n"):
@@ -178,7 +180,7 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
         if len(line) > _MAX_LINE:
             self._reply(414, f"request line longer than {_MAX_LINE} bytes")
             return
-        words = line.decode("latin-1").split()
+        words = line.split()  # bytes.split: exactly the separators section 3 allows
         version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
         if version is None:
             self._reply(400, "the request line needs a method, a target and an "
@@ -186,7 +188,7 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
             return
         major, minor = int(version[1]), int(version[2])
         if major >= 2:
-            self._reply(505, f"HTTP version {words[2]} is not supported")
+            self._reply(505, f"HTTP version {words[2].decode()} is not supported")
             return
         fields = []  # (name, value) in the order sent
         while (line := self.rfile.readline(_MAX_LINE + 1)) not in (b"\r\n", b"\n"):
@@ -203,8 +205,10 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
                 self._reply(400, f"malformed header field line {text.rstrip()!r}")
                 return
             fields.append((field[1], field[2].lstrip(" \t")))
-        method, target = words[:2]
-        if method == "CONNECT":
+        method, target = (word.decode("latin-1") for word in words[:2])
+        if _NOT_VISIBLE.search(target):
+            self._reply(400, f"request target {target!r} holds a byte outside visible ASCII")
+        elif method == "CONNECT":
             self._tunnel(target)
         elif method in _FORWARDED_METHODS:
             # RFC 9110 section 10.1.1: an HTTP/1.0 request's expectation is ignored
@@ -268,8 +272,6 @@ class _ProxyHandler(socketserver.StreamRequestHandler):
             if not target.startswith("http://"):
                 raise ValueError("proxy requires absolute-form http:// request targets; "
                                  "use CONNECT for https")
-            if _CONTROL_OR_SPACE.search(target):
-                raise ValueError(f"control character in request target {target!r}")
             parts = urlsplit(target)
             host, port = split_authority(parts.netloc, 80)
             if not (length_text.isascii() and length_text.isdigit()):

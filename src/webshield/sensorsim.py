@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
@@ -100,6 +100,7 @@ class DeviceState:
     mag_baseline: tuple  # microtesla
     mag_banks: tuple  # one SineBank per axis
     ambient_lux: float
+    noise: dict = field(compare=False, repr=False)  # label -> sha256(seed || b"noise/" || label)
 
 
 @dataclass(frozen=True)
@@ -213,42 +214,35 @@ def init_device_state(seed: FarbleSeed) -> DeviceState:
         mag_baseline=baseline,
         mag_banks=tuple(banks),
         ambient_lux=ambient,
+        noise={
+            label: hashlib.sha256(seed.value + b"noise/" + label.encode("ascii"))
+            for label in ("linear", "gravity", "gyro", "orient_abs", "orient_rel")
+        },
     )
 
 
-# Hash states after ``seed || b"noise/" || label``, keyed by (seed bytes,
-# label).  Cleared when full; threads that race here only rehash.
-_NOISE_PREFIXES_MAX = 1024
-_noise_prefixes: dict = {}
 _pack_f64 = struct.Struct("<d").pack
 
 
-def _noise_uniforms(seed: FarbleSeed, label: str, t_ms: float) -> tuple:
+def _noise_uniforms(state: DeviceState, label: str, t_ms: float) -> tuple:
     """Four keyed uniforms bound to (seed, label, t): the draws of
     SHA-256(seed || b"noise/" || label || LE(t)).
 
-    The hashed prefix is kept per (seed, label) in a bounded module
-    memo, so each reading copies that state and hashes only its time.
+    Each reading copies the device's hash state for the label and hashes
+    only its time.
     """
-    key = (seed.value, label)
-    prefix = _noise_prefixes.get(key)
-    if prefix is None:
-        if len(_noise_prefixes) >= _NOISE_PREFIXES_MAX:
-            _noise_prefixes.clear()
-        prefix = hashlib.sha256(seed.value + b"noise/" + label.encode("ascii"))
-        _noise_prefixes[key] = prefix
-    h = prefix.copy()
+    h = state.noise[label].copy()
     h.update(_pack_f64(t_ms))
     return block_draws(h.digest())
 
 
 def _noise_vec(state: DeviceState, label: str, t_ms: float, scale: float) -> tuple:
-    a, b, c, _ = _noise_uniforms(state.seed, label, t_ms)
+    a, b, c, _ = _noise_uniforms(state, label, t_ms)
     return (scale * (2.0 * a - 1.0), scale * (2.0 * b - 1.0), scale * (2.0 * c - 1.0))
 
 
 def _perturbed_orientation(state: DeviceState, label: str, t_ms: float) -> tuple:
-    ua, ub, _, ud = _noise_uniforms(state.seed, label, t_ms)
+    ua, ub, _, ud = _noise_uniforms(state, label, t_ms)
     half = ud * _ORIENTATION_NOISE / 2.0
     s, (x, y, z) = math.sin(half), _direction(ua, ub)
     dq = (math.cos(half), s * x, s * y, s * z)

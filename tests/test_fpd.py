@@ -188,9 +188,10 @@ class TestConfigValidation:
         ({"leaf": {"weight": 10**400}}, None, "/root/children/0/weight"),
         ({}, {"yellow": None}, "/severity/yellow"),
         ({}, {"red": False}, "/severity/red"),
+        ({}, {"yellow": 0.9, "orange": 0.5}, "/severity"),
     ], ids=["threshold-null", "threshold-string", "min_calls-null", "min_calls-2.9",
             "min_calls-bool", "weight-bool", "weight-null", "weight-inf", "weight-huge-int",
-            "severity-null", "severity-bool"])
+            "severity-null", "severity-bool", "severity-unordered"])
     def test_wrong_type_rejected_at_its_location(self, root, severity, location):
         leaf = {"weight": 1.0, "endpoint": "X", **root.get("leaf", {})}
         doc = {"version": 1, "root": {
@@ -223,6 +224,17 @@ class TestConfigValidation:
             {"weight": 1.0, "endpoint": "X", **leaf}], **group}}
         with pytest.raises(FpdConfigError) as excinfo:
             load_fpd_config(doc)
+        assert (excinfo.value.location, str(excinfo.value)) == (
+            location, f"{location}: {message}")
+
+    @pytest.mark.parametrize("source, location, message", [
+        ("[]", "/", "config must be an object"),
+        ({"version": 1, "root": {"name": "r", "threshold": 1.0, "children": {
+            "weight": 1.0, "endpoint": "X"}}}, "/root/children", "children must be an array"),
+    ], ids=["document-array", "children-object"])
+    def test_wrong_shape_rejected_with_its_message(self, source, location, message):
+        with pytest.raises(FpdConfigError) as excinfo:
+            load_fpd_config(source)
         assert (excinfo.value.location, str(excinfo.value)) == (
             location, f"{location}: {message}")
 

@@ -81,6 +81,10 @@ class TestOriginNormalization:
         with pytest.raises(ValueError):
             normalize_origin(bad)
 
+    def test_out_of_range_port_rejected_as_an_invalid_origin(self):
+        with pytest.raises(ValueError, match=r"^invalid origin 'https://a\.example:70000': "):
+            Origin.parse("https://a.example:70000")
+
     @given(
         scheme=st.sampled_from(["http", "https", "ws", "wss"]),
         host=st.from_regex(r"[a-zA-Z]([a-zA-Z0-9-]{0,10}[a-zA-Z0-9])?(\.[a-zA-Z]{2,6}){1,2}", fullmatch=True),

@@ -644,6 +644,34 @@ class TestGate:
         assert address is None
         assert cache.lookup("spy.example") is AddressClass.PRIVATE
 
+    def test_learn_mode_decides_on_its_own_address_when_another_request_learns(
+        self, monkeypatch
+    ):
+        """Another request records public for the host right after this
+        request learned loopback: the decision stays on the address this
+        request connects to."""
+        infos = [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", 80))]
+        monkeypatch.setattr(socket, "getaddrinfo", lambda *a, **k: list(infos))
+        cache = LearnCache()
+        cache.learn("rebind.example", AddressClass.PUBLIC)
+        learn = LearnCache.learn
+
+        def learn_then_overwritten(self, host, address_class):
+            replaced = learn(self, host, address_class)
+            learn(self, host, AddressClass.PUBLIC)
+            return replaced
+
+        monkeypatch.setattr(LearnCache, "learn", learn_then_overwritten)
+        decision, address = gate(NbsMode.LEARN_ON_REPLY, AddressClass.PUBLIC,
+                                 "rebind.example", 80, cache)
+        assert (decision.value, decision.target, address) == (
+            Decision.BLOCK, AddressClass.LOOPBACK, None
+        )
+        assert decision.reason == (
+            "request from public origin would cross the network boundary "
+            "into loopback target 'rebind.example'"
+        )
+
     def test_concurrent_first_contacts_learn_once(self, monkeypatch):
         barrier = threading.Barrier(4, timeout=2)
 

@@ -527,6 +527,11 @@ class TestMalformedRequests:
         ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
          "5\r\nhello\r\n0\r\n\r\n", 411),
         ("POST http://127.0.0.1:{port}/ HTTP/1.1\r\nContent-Length: \r\n\r\n", 400),
+        ("GET\x1chttp://127.0.0.1:{port}/x\x1cHTTP/1.1\r\n\r\n", 400),
+        ("GET\x85http://127.0.0.1:{port}/x\x85HTTP/1.1\r\n\r\n", 400),
+        ("GET\xa0http://127.0.0.1:{port}/x\xa0HTTP/1.1\r\n\r\n", 400),
+        ("GET http://127.0.0.1:{port}/caf\xe9 HTTP/1.1\r\n\r\n", 400),
+        ("CONNECT caf\xe9.example:443 HTTP/1.1\r\n\r\n", 400),
     ], ids=["origin-form", "port-abc", "port-0", "port-70000", "v6-port-abc",
             "connect-port-abc", "connect-port-99999", "connect-bare-v6", "length-zz",
             "length-negative", "length-huge", "path-control-char", "empty-v6-host",
@@ -536,7 +541,9 @@ class TestMalformedRequests:
             "101-header-lines", "long-header-line", "unknown-method", "no-version",
             "field-no-colon", "field-name-space", "field-empty-name", "field-space-before-colon",
             "field-name-tab", "field-name-control", "field-obs-fold", "field-bare-cr",
-            "field-nul", "chunked-lower-case", "length-empty"])
+            "field-nul", "chunked-lower-case", "length-empty", "split-at-file-separator",
+            "split-at-next-line", "split-at-no-break-space", "path-non-ascii",
+            "connect-non-ascii-host"])
     def test_bad_request_answered_4xx_and_proxy_keeps_serving(
         self, stub, tmp_path, head, expected
     ):
@@ -595,6 +602,24 @@ class TestMalformedRequests:
         assert b"CONNECT" in reply.partition(b"\r\n\r\n")[2]
         assert (stub.connections, stub.received) == (0, b"")
         assert log.read_text() == ""
+
+    def test_client_that_leaves_before_its_first_byte_gets_no_reply(self, stub, tmp_path,
+                                                                     capfd):
+        log = tmp_path / "decisions.jsonl"
+        proxy = run_proxy(ProxyConfig(
+            mode=NbsMode.PRE_RESOLVE, origin_class=AddressClass.LOOPBACK, log_path=log
+        ))
+        try:
+            with socket.create_connection(proxy.address, timeout=2.0) as sock:
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(65536) == b""
+            assert log.read_text() == ""
+            status, _, body = proxy_request(proxy.address, f"http://127.0.0.1:{stub.port}/next")
+            assert (status, body) == (200, b"stub-ok")
+        finally:
+            proxy.stop()
+        assert stub.connections == 1
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_malformed_field_line_hides_no_framing_field(self, stub, tmp_path):
         """A field line with no colon refuses the whole head, so the
@@ -1199,6 +1224,32 @@ class TestDecisionLog:
             records = [json.loads(l) for l in path.read_text().splitlines()]
             assert [(r["host"], r["coalesced"]) for r in records] == [
                 ("old.example", 1), ("new.example", 2)
+            ]
+        finally:
+            log.close()
+
+    def test_block_after_its_window_closed_writes_that_window_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The target blocks again once its window has closed, before the
+        sweeper wrote it: the old window's line goes out then, and the new
+        block opens a window of its own."""
+        clock = [100.0]
+        fake_time = types.SimpleNamespace(monotonic=lambda: clock[0])
+        monkeypatch.setattr(proxy_module, "time", fake_time)
+        path = tmp_path / "expired.jsonl"
+        log = DecisionLog(path)
+        try:
+            log.log("spam.example", "loopback", "Block", "r")
+            log.log("spam.example", "loopback", "Block", "r")
+            clock[0] += proxy_module.COALESCE_WINDOW_S
+            log.log("spam.example", "loopback", "Block", "r")
+            records = [json.loads(l) for l in path.read_text().splitlines()]
+            assert [(r["host"], r["coalesced"]) for r in records] == [("spam.example", 2)]
+            log.flush()
+            records = [json.loads(l) for l in path.read_text().splitlines()]
+            assert [(r["host"], r["coalesced"]) for r in records] == [
+                ("spam.example", 2), ("spam.example", 1)
             ]
         finally:
             log.close()

@@ -261,22 +261,19 @@ class TestGolden:
         assert digest.hexdigest() == self.ALL_KINDS_SHA256
 
 
-class TestNoiseMemo:
-    def test_bounded_memo_gives_the_prefix_free_draws(self, monkeypatch):
-        """With room for two prefixes, three seeds times two labels in
-        alternating order evict each other; every reading still equals
-        the draws of one hash over the whole input."""
-        monkeypatch.setattr(sensorsim, "_NOISE_PREFIXES_MAX", 2)
-        monkeypatch.setattr(sensorsim, "_noise_prefixes", {})
+class TestNoisePrefix:
+    def test_device_prefix_gives_the_prefix_free_draws(self):
+        """Three devices times two labels, read in alternating order and
+        at a repeated time: every reading equals the draws of one hash
+        over the whole input, so a copied prefix state is never changed."""
         seed_c = derive_seed(SessionKey(bytes(32)), Origin.parse("https://c.example"), "sensor")
+        states = [init_device_state(seed) for seed in (SEED, SEED_B, seed_c)]
         for t_ms in (0.0, 37.5, 37.5, 1e12):
-            for seed in (SEED, SEED_B, seed_c):
+            for state in states:
                 for label in ("gravity", "linear"):
-                    digest = hashlib.sha256(
-                        seed.value + b"noise/" + label.encode("ascii") + struct.pack("<d", t_ms)
-                    ).digest()
-                    assert sensorsim._noise_uniforms(seed, label, t_ms) == block_draws(digest)
-                    assert len(sensorsim._noise_prefixes) <= 2
+                    digest = hashlib.sha256(state.seed.value + b"noise/" + label.encode("ascii")
+                                            + struct.pack("<d", t_ms)).digest()
+                    assert sensorsim._noise_uniforms(state, label, t_ms) == block_draws(digest)
 
 
 # Times on both sides of bucket edges, out of order, repeated, as ints,

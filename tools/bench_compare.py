@@ -34,8 +34,14 @@ program, so they also see costs no traced span covers: the proxy's
 has reached a thread.  Per workload, ``same_outputs`` is true
 iff both sides' digests agree at every seed; a claim on a workload whose
 outputs differ is not met, and each such workload gets a warning on
-stderr.  The tool only reads ``run.py``'s output; it changes no bound,
-metric or benchmark file.
+stderr.  Each side's ``failed_share`` is its ``failed_ops`` over its
+``attempted_ops``; a claim on a workload where the child's share is the
+higher is not met.  ``regressions`` lists each end-to-end metric whose
+child median is worse than the parent's, in the direction its
+``better`` names, by more than its ``BENCHMARK.json`` bound (in the
+metric's own unit), with both medians and the bound; each one also gets
+a warning on stderr.  The tool only reads ``run.py``'s output and
+``BENCHMARK.json``; it changes no bound, metric or benchmark file.
 """
 
 from __future__ import annotations
@@ -122,6 +128,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         parser.error("quartiles need at least two seeds")
@@ -164,6 +171,7 @@ def main(argv=None) -> int:
                                           for r in side_runs]) for name in lower}
                 metrics["failed_ops"] = sum(r["result"]["failed"] for r in side_runs)
                 metrics["attempted_ops"] = sum(r["result"]["attempted"] for r in side_runs)
+                metrics["failed_share"] = metrics["failed_ops"] / max(metrics["attempted_ops"], 1)
                 metrics["workload_metrics"] = {
                     name: summary([r["detail"]["workload_metrics"][name]["value"]
                                    for r in side_runs])
@@ -178,6 +186,15 @@ def main(argv=None) -> int:
                 name: sum((c < p) if is_lower else (c > p) for p, c in zip(
                     entry["parent"][name]["runs"], entry["child"][name]["runs"]))
                 for name, is_lower in lower.items()}
+            entry["regressions"] = []
+            for name, is_lower in lower.items():
+                parent, child = entry["parent"][name]["median"], entry["child"][name]["median"]
+                if (child - parent if is_lower else parent - child) > bounds[name]:
+                    entry["regressions"].append({"metric": name, "median_parent": parent,
+                                                 "median_child": child, "bound": bounds[name]})
+                    print(f"warning: {workload}: {name} median {child} against the parent's "
+                          f"{parent} is worse by more than its bound {bounds[name]}",
+                          file=sys.stderr, flush=True)
             out["workloads"][workload] = entry
             if out["machine"] is None:
                 machine = runs["parent"][0]["detail"]["machine"]
@@ -204,8 +221,11 @@ def main(argv=None) -> int:
             "median_child": child["median"], "median_difference": round(gap, 4),
             "parent_iqr": round(parent["q3"] - parent["q1"], 4),
             "same_outputs": entry["same_outputs"],
+            "failed_share_parent": entry["parent"]["failed_share"],
+            "failed_share_child": entry["child"]["failed_share"],
             "met": (entry["same_outputs"] and wins >= math.ceil(0.9 * entry["pairs"])
-                    and gap > parent["q3"] - parent["q1"]),
+                    and gap > parent["q3"] - parent["q1"]
+                    and entry["child"]["failed_share"] <= entry["parent"]["failed_share"]),
         }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
