@@ -130,12 +130,12 @@ def farble():
 def farble_canvas(in_path, out_path, session, origin, profile):
     """Farble an RGBA bitmap file (LE32 w, LE32 h, RGBA bytes)."""
     from . import formats
-    from .farble import farble_bitmap
+    from .farble import farble_bitmap_in_place
     from .keyrand import derive_seed
 
-    bitmap = formats.read_bitmap(in_path)
+    bitmap = formats.read_bitmap_writable(in_path)
     out = _protect(profile, "canvas", bitmap,
-                   lambda b: farble_bitmap(derive_seed(session, origin, "canvas"), b))
+                   lambda b: farble_bitmap_in_place(derive_seed(session, origin, "canvas"), b))
     if out is not None:
         formats.write_bitmap(out_path, out)
 
@@ -149,12 +149,12 @@ def farble_canvas(in_path, out_path, session, origin, profile):
 def farble_audio_cmd(in_path, out_path, session, origin, profile):
     """Farble a raw audio file (LE32 rate, LE32 ch, LE32 frames, f32 LE)."""
     from . import formats
-    from .farble import farble_audio
+    from .farble import farble_audio_in_place
     from .keyrand import derive_seed
 
-    audio = formats.read_audio(in_path)
+    audio = formats.read_audio_writable(in_path)
     out = _protect(profile, "audio", audio,
-                   lambda a: farble_audio(derive_seed(session, origin, "audio"), a))
+                   lambda a: farble_audio_in_place(derive_seed(session, origin, "audio"), a))
     if out is not None:
         formats.write_audio(out_path, out)
 

@@ -20,7 +20,7 @@ import hashlib
 import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .keyrand import FarbleSeed, keystream_bytes, subseed, uniform01, uniform_range
 
@@ -32,12 +32,19 @@ if TYPE_CHECKING:
 # magnitude.
 AUDIO_EPSILON = 1e-7
 
-# Canvas and audio masks are read and applied one chunk at a time, so a
-# transform holds the payload, its output and one chunk.  256 pixels
-# take 96 mask bytes and 4 samples 32, so both chunks are whole
-# keystream blocks.
+# Canvas and audio masks are read and applied one chunk at a time, and
+# the content hashes are fed one chunk at a time.  Beside the caller's
+# payload, ``farble_bitmap`` holds two payload-sized buffers (its working
+# copy and the output bytes) and one chunk, ``farble_audio`` one (its
+# output) and one chunk, and the ``*_in_place`` transforms, which the CLI
+# runs, one chunk.
+# A chunk's keystream read briefly takes about six times the bytes it
+# returns (a digest object and a join buffer entry per 32-byte block), so
+# an audio chunk's 8 bytes per sample take under 1 MiB at 16,384 samples.
+# 256 pixels take 96 mask bytes and 4 samples 32, so a chunk that starts
+# on a multiple of either starts on a keystream block.
 BITMAP_CHUNK_PIXELS = 65_536
-AUDIO_CHUNK_SAMPLES = 32_768
+AUDIO_CHUNK_SAMPLES = 16_384
 
 GL_CHARSET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 "
 GL_MIN_LEN, GL_MAX_LEN = 8, 32
@@ -82,6 +89,40 @@ class BitmapBuffer:
             )
 
 
+def check_sample_rate(sample_rate) -> None:
+    _check_le32_int("sample rate", sample_rate)
+    if sample_rate <= 0:
+        raise ValueError("sample rate must be positive")
+
+
+def _audio_chunks(channels: int, frames: int):
+    """Cut a (channels, frames) array into chunks of at most
+    AUDIO_CHUNK_SAMPLES samples, in channel-major order: whole channels
+    where a channel is shorter than a chunk, else one part of one channel.
+    Either way a chunk's samples, channel-major, have consecutive global
+    indices (sample i of channel c is c * frames + i).  Yields (the first
+    sample's global index, the chunk's index into the array)."""
+    if not frames:  # no samples, however many channels the header names
+        return
+    rows = max(AUDIO_CHUNK_SAMPLES // frames, 1)
+    width = min(frames, AUDIO_CHUNK_SAMPLES)
+    for c in range(0, channels, rows):
+        for lo in range(0, frames, width):
+            yield c * frames + lo, (slice(c, c + rows), slice(lo, lo + width))
+
+
+def check_finite_samples(channels: np.ndarray) -> None:
+    """Raise ValueError naming the first channel of a (channels, frames)
+    array that holds a non-finite sample, checking one chunk at a time."""
+    import numpy as np
+
+    for start, index in _audio_chunks(*channels.shape):
+        finite = np.isfinite(channels[index]).all(axis=1)
+        if not finite.all():
+            bad = start // channels.shape[1] + finite.argmin()
+            raise ValueError(f"channel {bad} contains non-finite samples")
+
+
 @dataclass(frozen=True)
 class AudioSamples:
     """PCM samples in [-1, 1]: one read-only, C-ordered float64 array of shape
@@ -94,9 +135,7 @@ class AudioSamples:
     def __post_init__(self):
         import numpy as np
 
-        _check_le32_int("sample rate", self.sample_rate)
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        check_sample_rate(self.sample_rate)
         if isinstance(self.channels, np.ndarray) and self.channels.ndim == 2:
             frames = self.channels.shape[1]  # rows of equal length by construction
         else:
@@ -110,9 +149,7 @@ class AudioSamples:
         if arr.ndim > 2:
             raise ValueError("each channel must be a flat sequence of samples")
         arr = arr.reshape(len(arr), frames)  # no channels: (0,) becomes (0, 0)
-        if not np.isfinite(arr).all():  # a per-channel pass only to name the bad one
-            bad = np.isfinite(arr).all(axis=1).argmin()
-            raise ValueError(f"channel {bad} contains non-finite samples")
+        check_finite_samples(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "channels", arr)
 
@@ -123,6 +160,16 @@ class AudioSamples:
             return NotImplemented
         return self.sample_rate == other.sample_rate and np.array_equal(
             self.channels, other.channels)
+
+
+class AudioView(NamedTuple):
+    """Samples to farble in place: ``channels`` is a writable (channels,
+    frames) view in any float dtype, such as ``formats.read_audio_writable``
+    gives of a file's float32 frame-interleaved payload.  It is checked as
+    ``AudioSamples`` checks its samples when it is read, not here."""
+
+    sample_rate: int
+    channels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -160,6 +207,25 @@ def bitmap_content_hash(seed: FarbleSeed, bitmap: BitmapBuffer) -> bytes:
     return h.digest()
 
 
+def _mask_bitmap(mask_seed: FarbleSeed, data) -> None:
+    """XOR each R, G, B byte's LSB of ``data``, a writable RGBA buffer,
+    with one bit of ``mask_seed``'s keystream, one chunk of pixels at a
+    time.  Within a chunk the mask bits are XORed in one colour column at
+    a time, so no payload-sized temporary is made."""
+    import numpy as np
+
+    pixels = np.frombuffer(data, dtype=np.uint8).reshape(-1, 4)
+    n_pixels = len(pixels)
+    for lo in range(0, n_pixels, BITMAP_CHUNK_PIXELS):
+        hi = min(lo + BITMAP_CHUNK_PIXELS, n_pixels)
+        first_byte, skip = divmod(3 * lo, 8)
+        stream = keystream_bytes(mask_seed, first_byte, (3 * hi + 7) // 8 - first_byte)
+        bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
+        mask = bits[skip : skip + 3 * (hi - lo)].reshape(hi - lo, 3)
+        for c in range(3):  # three 1-D strided loops, not one of length 3
+            pixels[lo:hi, c] ^= mask[:, c]
+
+
 # The last canvas read farbled, as (seed bytes, input, output).  One tuple
 # rebinding is atomic, so threads that race here only recompute.
 _last_read = (None, None, None)
@@ -170,9 +236,7 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
 
     Pass 1 hashes seed plus dimensions plus pixel data; pass 2 XORs each
     R, G, B byte's LSB with one bit of a keystream derived from that
-    hash, one chunk of pixels at a time.  Within a chunk the mask bits
-    are XORed in one colour column at a time, in place, so no
-    payload-sized temporary is made.  Alpha bytes pass through
+    hash, in a working copy of the payload.  Alpha bytes pass through
     untouched, and no channel moves by more than 1.
 
     The output is a pure function of the seed and the bitmap, so a read
@@ -185,34 +249,48 @@ def farble_bitmap(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
             and bitmap.width == cached_in.width and bitmap.height == cached_in.height
             and bitmap.data == cached_in.data):
         return cached_out
-    import numpy as np
-
-    n_pixels = bitmap.width * bitmap.height
-    mask_seed = subseed(seed, bitmap_content_hash(seed, bitmap))
-    arr = np.frombuffer(bitmap.data, dtype=np.uint8).copy().reshape(n_pixels, 4)
-    for lo in range(0, n_pixels, BITMAP_CHUNK_PIXELS):
-        hi = min(lo + BITMAP_CHUNK_PIXELS, n_pixels)
-        first_byte, skip = divmod(3 * lo, 8)
-        stream = keystream_bytes(mask_seed, first_byte, (3 * hi + 7) // 8 - first_byte)
-        bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
-        mask = bits[skip : skip + 3 * (hi - lo)].reshape(hi - lo, 3)
-        for c in range(3):  # three 1-D strided loops, not one of length 3
-            arr[lo:hi, c] ^= mask[:, c]
-    out = BitmapBuffer(bitmap.width, bitmap.height, arr.tobytes())
+    work = bytearray(bitmap.data)
+    _mask_bitmap(subseed(seed, bitmap_content_hash(seed, bitmap)), work)
+    out = BitmapBuffer(bitmap.width, bitmap.height, bytes(work))
     if type(bitmap.data) is bytes and len(bitmap.data) <= REPEAT_READ_MAX_BYTES:
         _last_read = (seed.value, bitmap, out)  # a bytearray could change under it
     return out
 
 
-def audio_content_hash(seed: FarbleSeed, audio: AudioSamples) -> bytes:
+def farble_bitmap_in_place(seed: FarbleSeed, bitmap: BitmapBuffer) -> BitmapBuffer:
+    """``farble_bitmap``'s output bytes, written over ``bitmap.data``,
+    which must be writable (``formats.read_bitmap_writable`` reads into a
+    bytearray).  Returns ``bitmap``."""
+    _mask_bitmap(subseed(seed, bitmap_content_hash(seed, bitmap)), bitmap.data)
+    return bitmap
+
+
+def audio_content_hash(seed: FarbleSeed, audio: AudioSamples | AudioView) -> bytes:
     """Hash over rate, channel count, frame count, then the samples as
     float32-LE, channel-major."""
     h = hashlib.sha256(seed.value)
     h.update(struct.pack("<III", audio.sample_rate, *audio.channels.shape))
-    samples = audio.channels.reshape(-1)
-    for lo in range(0, samples.size, AUDIO_CHUNK_SAMPLES):
-        h.update(samples[lo : lo + AUDIO_CHUNK_SAMPLES].astype("<f4"))
+    for _, index in _audio_chunks(*audio.channels.shape):
+        h.update(audio.channels[index].astype("<f4", order="C"))
     return h.digest()
+
+
+def _mask_audio(mask_seed: FarbleSeed, samples: np.ndarray, out: np.ndarray) -> None:
+    """Write each sample of ``samples`` plus its offset, clamped to
+    [-1, 1], to the same place in ``out``, one chunk at a time.  Both are
+    (channels, frames) arrays; they may be the same one, of any float
+    dtype.  The sum is taken in float64 and rounded once, to ``out``'s
+    dtype; no chunk-sized array outlives its chunk."""
+    import numpy as np
+
+    for start, index in _audio_chunks(*samples.shape):
+        chunk = samples[index]
+        stream = keystream_bytes(mask_seed, 8 * start, 8 * chunk.size)
+        u64 = np.frombuffer(stream, dtype="<u8").reshape(chunk.shape)
+        offsets = (u64 >> np.uint64(11)) * 2.0**-53
+        offsets -= 0.5
+        offsets *= 2.0 * AUDIO_EPSILON
+        np.clip(offsets + chunk, -1.0, 1.0, out=out[index])
 
 
 def farble_audio(seed: FarbleSeed, audio: AudioSamples) -> AudioSamples:
@@ -225,18 +303,18 @@ def farble_audio(seed: FarbleSeed, audio: AudioSamples) -> AudioSamples:
     """
     import numpy as np
 
-    mask_seed = subseed(seed, audio_content_hash(seed, audio))
-    samples = audio.channels.reshape(-1)
     out = np.empty_like(audio.channels)
-    out_samples = out.reshape(-1)
-    for lo in range(0, samples.size, AUDIO_CHUNK_SAMPLES):
-        hi = min(lo + AUDIO_CHUNK_SAMPLES, samples.size)
-        u64 = np.frombuffer(keystream_bytes(mask_seed, 8 * lo, 8 * (hi - lo)), dtype="<u8")
-        u = (u64 >> np.uint64(11)) * 2.0**-53
-        offsets = (u - 0.5) * (2.0 * AUDIO_EPSILON)
-        np.clip(samples[lo:hi] + offsets, -1.0, 1.0, out=out_samples[lo:hi])
+    _mask_audio(subseed(seed, audio_content_hash(seed, audio)), audio.channels, out)
     out.flags.writeable = False  # handed over, not copied
     return AudioSamples(audio.sample_rate, out)
+
+
+def farble_audio_in_place(seed: FarbleSeed, audio: AudioView) -> AudioView:
+    """``farble_audio``'s output samples, rounded to ``audio.channels``'s
+    dtype and written over them.  Returns ``audio``."""
+    _mask_audio(subseed(seed, audio_content_hash(seed, audio)), audio.channels,
+                audio.channels)
+    return audio
 
 
 def _keyed_string(seed: FarbleSeed, region: int) -> str:

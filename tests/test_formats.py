@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from webshield.farble import AudioSamples, BitmapBuffer
-from webshield.formats import read_audio, read_bitmap, write_audio, write_bitmap
+from webshield.formats import (
+    read_audio,
+    read_audio_writable,
+    read_bitmap,
+    write_audio,
+    write_bitmap,
+)
 
 
 class TestBitmapFormat:
@@ -106,6 +112,32 @@ def refused_peak(read, path, message):
 
 
 MiB = 2**20
+
+
+class TestWriteMemory:
+    """``write_audio`` converts and interleaves one chunk of frames at a
+    time: no float32 copy or interleaved bytes of payload size."""
+
+    def test_audio_write_holds_one_chunk(self, tmp_path):
+        frames = 10 * 44_100
+        audio = AudioSamples(44_100, np.random.default_rng(5).uniform(-1, 1, (2, frames)))
+        assert traced_peak(write_audio, tmp_path / "clip.pcm", audio) <= MiB // 4
+
+    @pytest.mark.parametrize("channels,frames", [(0, 0), (1, 1), (2, 16_385), (5, 9_999)])
+    def test_chunked_write_is_the_whole_interleaved_payload(self, tmp_path, channels, frames):
+        samples = np.random.default_rng(channels).uniform(-1, 1, (channels, frames))
+        path = tmp_path / "clip.pcm"
+        write_audio(path, AudioSamples(8000, samples))
+        assert path.read_bytes() == (struct.pack("<III", 8000, channels, frames)
+                                     + samples.astype("<f4").T.tobytes())
+
+    def test_a_writable_view_round_trips_unchanged(self, tmp_path):
+        src, out = tmp_path / "in.pcm", tmp_path / "out.pcm"
+        write_audio(src, AudioSamples(8000, np.random.default_rng(6).uniform(-1, 1, (3, 99_999))))
+        view = read_audio_writable(src)
+        assert view.channels.flags.writeable and view.channels.dtype == np.float32
+        assert traced_peak(write_audio, out, view) <= 64 * 1024  # of a 1.2 MB payload
+        assert out.read_bytes() == src.read_bytes()
 
 
 class TestReadMemory:

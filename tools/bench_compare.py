@@ -17,7 +17,9 @@ without touching the repository's own.
 
 The output keeps the keys of the earlier BENCH files: per workload and
 side the median, quartiles and runs of each end-to-end metric, failed
-and attempted operations, the child's wins per metric, the digest of
+and attempted operations, the child's wins per metric, whether every
+child run beats every parent run per metric (the runs of a bimodal
+metric can overlap while its medians differ), the digest of
 every run, the machine, an optional claim with its verdict, and an
 optional traced run per side.  Next to the end-to-end metrics, each side
 keeps the same summary of every ``workload_metrics`` value of
@@ -186,6 +188,11 @@ def main(argv=None) -> int:
                 name: sum((c < p) if is_lower else (c > p) for p, c in zip(
                     entry["parent"][name]["runs"], entry["child"][name]["runs"]))
                 for name, is_lower in lower.items()}
+            entry["child_beats_every_parent_run"] = {
+                name: (max(entry["child"][name]["runs"]) < min(entry["parent"][name]["runs"])
+                       if is_lower else
+                       min(entry["child"][name]["runs"]) > max(entry["parent"][name]["runs"]))
+                for name, is_lower in lower.items()}
             entry["regressions"] = []
             for name, is_lower in lower.items():
                 parent, child = entry["parent"][name]["median"], entry["child"][name]["median"]
@@ -217,7 +224,9 @@ def main(argv=None) -> int:
         wins = entry["child_wins"][metric]
         out["claim"] = {
             "workload": workload, "metric": metric, "pairs": entry["pairs"],
-            "child_wins": wins, "median_parent": parent["median"],
+            "child_wins": wins,
+            "child_beats_every_parent_run": entry["child_beats_every_parent_run"][metric],
+            "median_parent": parent["median"],
             "median_child": child["median"], "median_difference": round(gap, 4),
             "parent_iqr": round(parent["q3"] - parent["q1"], 4),
             "same_outputs": entry["same_outputs"],
