@@ -64,6 +64,16 @@ SENSORS_GEN_SHA = {
         "6ee10ce6d369ffd325276179a71c626e2a4d12eb52415f88afbc69d82f0cbc4f",
     ("orientation_abs", "jsonl"):
         "decc62db375971309fd3227f48469298c6c81ccb2e7b4976ca63d9bbf80e40c0",
+    ("gravity", "csv"):
+        "a304cbb6282ee1aa519b28072beb97739bf8928a3e4c70f0702d96ae2f527796",
+    ("linear_acceleration", "csv"):
+        "3369ef6d6210af1cc96fa02f8df03ce1ba234154fdf62f19ef6535c77a25eb01",
+    ("gyroscope", "csv"):
+        "e78c51b2115d73848babbca07159136d13756ffd351fef476516a28006c5ef78",
+    ("orientation_rel", "csv"):
+        "d2b0c46bc408e8df135533c728beb94994d207e9505ef19549860cef6b4a4f6a",
+    ("ambient_light", "csv"):
+        "6ca081ba707ee901f252c68e3c1ed9b04a677b13b41324d603f45a4754cd3ec4",
 }
 
 

@@ -6,6 +6,7 @@ loop.
 """
 
 import hashlib
+import inspect
 import math
 import re
 import struct
@@ -27,6 +28,7 @@ from webshield.sensorsim import (
     MAG_PERIOD_S,
     SINES_PER_AXIS,
     SensorKind,
+    SensorReading,
     _normalize,
     init_device_state,
     rotate_world_to_device,
@@ -223,6 +225,40 @@ class TestKindLookup:
             sample(state, kind, 0.0)
         with pytest.raises(ValueError, match=message):
             next(sample_many(state, kind, [0.0]))
+
+
+class TestReading:
+    """A reading is an immutable value: three named fields in a fixed
+    order, equality and hash by value, and a repr that names them."""
+
+    def test_fields_in_order(self, state):
+        assert list(inspect.signature(SensorReading).parameters) == [
+            "kind", "value", "timestamp_ms"]
+        reading = SensorReading(SensorKind.GYROSCOPE, (1.0, 2.0, 3.0), 5.0)
+        assert (reading.kind, reading.value, reading.timestamp_ms) == (
+            SensorKind.GYROSCOPE, (1.0, 2.0, 3.0), 5.0)
+        assert reading == SensorReading(kind=SensorKind.GYROSCOPE, value=(1.0, 2.0, 3.0),
+                                        timestamp_ms=5.0)
+
+    @pytest.mark.parametrize("name", ["kind", "value", "timestamp_ms"])
+    def test_assignment_raises(self, state, name):
+        reading = sample(state, SensorKind.GRAVITY, 10.0)
+        with pytest.raises(AttributeError):
+            setattr(reading, name, None)
+        assert reading == sample(state, SensorKind.GRAVITY, 10.0)
+
+    def test_equal_readings_are_equal_and_hash_equal(self, state):
+        for kind in SensorKind:
+            a, b = sample(state, kind, 731.25), sample(init_device_state(SEED), kind, 731.25)
+            assert a == b and hash(a) == hash(b)
+            assert a != sample(state, kind, 7310.25)
+
+    def test_repr_names_the_fields(self, state):
+        reading = sample(state, SensorKind.AMBIENT_LIGHT, 0.0)
+        assert repr(reading).startswith("SensorReading(kind=")
+        assert repr(reading) == (f"SensorReading(kind={SensorKind.AMBIENT_LIGHT!r}, "
+                                 f"value={reading.value!r}, "
+                                 f"timestamp_ms={reading.timestamp_ms!r})")
 
 
 class TestTimestamps:
