@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -53,6 +54,7 @@ _ORIENTATION_NOISE = math.radians(0.1)
 
 # Readings per batch in sample_many: bounds the memory a long stream holds.
 SAMPLE_CHUNK = 1024
+_MAX_TIME = sys.float_info.max  # the latest time a reading may have
 
 
 class SensorKind(str, Enum):
@@ -103,11 +105,13 @@ class DeviceState:
     noise: dict = field(compare=False, repr=False)  # label -> sha256(seed || b"noise/" || label)
 
 
-@dataclass(frozen=True)
-class SensorReading:
+class SensorReading(NamedTuple):
     kind: SensorKind
     value: object  # 3-tuple, 4-tuple quaternion, or scalar
     timestamp_ms: float
+
+
+_new_tuple = tuple.__new__  # a reading from its fields' tuple, minus the class's __new__
 
 
 class _Draw:
@@ -167,16 +171,11 @@ def _quat_mul(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _quat_conj(q: tuple) -> tuple:
-    return (q[0], -q[1], -q[2], -q[3])
-
-
 def rotate_world_to_device(q: tuple, v: tuple) -> tuple:
     """Express a world-frame vector in the device frame given the
     device-to-world attitude quaternion."""
-    p = (0.0, *v)
-    out = _quat_mul(_quat_mul(_quat_conj(q), p), q)
-    return out[1:]
+    conj = (q[0], -q[1], -q[2], -q[3])
+    return _quat_mul(_quat_mul(conj, (0.0, *v)), q)[1:]
 
 
 def init_device_state(seed: FarbleSeed) -> DeviceState:
@@ -226,11 +225,8 @@ _pack_f64 = struct.Struct("<d").pack
 
 def _noise_uniforms(state: DeviceState, label: str, t_ms: float) -> tuple:
     """Four keyed uniforms bound to (seed, label, t): the draws of
-    SHA-256(seed || b"noise/" || label || LE(t)).
-
-    Each reading copies the device's hash state for the label and hashes
-    only its time.
-    """
+    SHA-256(seed || b"noise/" || label || LE(t)).  Each reading copies the
+    device's hash state for the label and hashes only its time."""
     h = state.noise[label].copy()
     h.update(_pack_f64(t_ms))
     return block_draws(h.digest())
@@ -249,30 +245,36 @@ def _perturbed_orientation(state: DeviceState, label: str, t_ms: float) -> tuple
     return _normalize(_quat_mul(dq, state.orientation))
 
 
-def _value(state: DeviceState, kind: SensorKind, t_ms: float):
-    if kind is SensorKind.MAGNETOMETER:
-        t_s = t_ms / 1000.0
-        (bx, by, bz), (mx, my, mz) = state.mag_baseline, state.mag_banks
-        return (bx + mx.value(t_s), by + my.value(t_s), bz + mz.value(t_s))
-    if kind is SensorKind.LINEAR_ACCELERATION:
-        return _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
-    if kind in (SensorKind.GRAVITY, SensorKind.ACCELEROMETER):
-        gx, gy, gz = state.gravity
-        nx, ny, nz = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
-        if kind is SensorKind.GRAVITY:
-            return (gx + nx, gy + ny, gz + nz)
-        ax, ay, az = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
-        return (gx + nx + ax, gy + ny + ay, gz + nz + az)
-    if kind is SensorKind.GYROSCOPE:
-        return _noise_vec(state, "gyro", t_ms, _GYRO_NOISE)
-    if kind is SensorKind.ORIENTATION_ABS:
-        return _perturbed_orientation(state, "orient_abs", t_ms)
-    if kind is SensorKind.ORIENTATION_REL:
-        return _perturbed_orientation(state, "orient_rel", t_ms)
-    return state.ambient_lux  # SensorKind.AMBIENT_LIGHT
+def _magnetometer(state: DeviceState, t_ms: float) -> tuple:
+    t_s = t_ms / 1000.0
+    (bx, by, bz), (mx, my, mz) = state.mag_baseline, state.mag_banks
+    return (bx + mx.value(t_s), by + my.value(t_s), bz + mz.value(t_s))
+
+
+def _gravity(state: DeviceState, t_ms: float) -> tuple:
+    gx, gy, gz = state.gravity
+    nx, ny, nz = _noise_vec(state, "gravity", t_ms, _GRAVITY_NOISE)
+    return (gx + nx, gy + ny, gz + nz)
+
+
+def _accelerometer(state: DeviceState, t_ms: float) -> tuple:
+    gx, gy, gz = _gravity(state, t_ms)
+    ax, ay, az = _noise_vec(state, "linear", t_ms, _LINEAR_NOISE)
+    return (gx + ax, gy + ay, gz + az)
 
 
 _KINDS = {kind.value: kind for kind in SensorKind}  # a member hashes as its value
+# Each kind's value at one time: f(state, t_ms).
+_VALUE_OF = {
+    SensorKind.MAGNETOMETER: _magnetometer,
+    SensorKind.ACCELEROMETER: _accelerometer,
+    SensorKind.LINEAR_ACCELERATION: lambda state, t: _noise_vec(state, "linear", t, _LINEAR_NOISE),
+    SensorKind.GRAVITY: _gravity,
+    SensorKind.GYROSCOPE: lambda state, t: _noise_vec(state, "gyro", t, _GYRO_NOISE),
+    SensorKind.ORIENTATION_ABS: lambda state, t: _perturbed_orientation(state, "orient_abs", t),
+    SensorKind.ORIENTATION_REL: lambda state, t: _perturbed_orientation(state, "orient_rel", t),
+    SensorKind.AMBIENT_LIGHT: lambda state, t: state.ambient_lux,
+}
 
 
 def _sensor_kind(kind: SensorKind | str) -> SensorKind:
@@ -282,11 +284,13 @@ def _sensor_kind(kind: SensorKind | str) -> SensorKind:
         raise ValueError(f"unknown sensor kind: {kind!r}") from None
 
 
+def _check_time(t_ms: float) -> None:
+    if not 0 <= t_ms <= _MAX_TIME:  # an int past the float range fails, as inf does
+        raise ValueError(f"sample time must be finite and >= 0, got {t_ms}")
+
+
 def sample(
-    state: DeviceState,
-    kind: SensorKind | str,
-    t_ms: float,
-    shield_cfg: ShieldConfig | None = None,
+    state: DeviceState, kind: SensorKind | str, t_ms: float, shield_cfg: ShieldConfig | None = None
 ) -> SensorReading:
     """Read the fake device at context-relative time ``t_ms``.
 
@@ -295,11 +299,9 @@ def sample(
     the shielded context-relative time.
     """
     kind = _sensor_kind(kind)
-    if not 0 <= t_ms < math.inf:
-        raise ValueError(f"sample time must be finite and >= 0, got {t_ms}")
-    value = _value(state, kind, t_ms)
-    timestamp = shield_timestamp(state.time_seed, t_ms, shield_cfg)
-    return SensorReading(kind=kind, value=value, timestamp_ms=timestamp)
+    _check_time(t_ms)
+    return _new_tuple(SensorReading, (kind, _VALUE_OF[kind](state, t_ms),
+                                      shield_timestamp(state.time_seed, t_ms, shield_cfg)))
 
 
 def _sin_probe_args() -> list:
@@ -339,7 +341,7 @@ def _vector_sin():
 
 
 def _magnetometer_values(state: DeviceState, times: list) -> list:
-    """``_value``'s magnetometer readings at every time, one axis at a
+    """``_magnetometer``'s readings at every time, one axis at a
     time over a float64 vector: the same IEEE operations in the same
     order as ``SineBank.value``, so the same floats."""
     import numpy as np
@@ -356,9 +358,7 @@ def _magnetometer_values(state: DeviceState, times: list) -> list:
 
 
 def sample_many(
-    state: DeviceState,
-    kind: SensorKind | str,
-    t_ms_seq: Iterable[float],
+    state: DeviceState, kind: SensorKind | str, t_ms_seq: Iterable[float],
     shield_cfg: ShieldConfig | None = None,
 ) -> Iterator[SensorReading]:
     """``sample`` at each time of ``t_ms_seq``, lazily and bit for bit.
@@ -369,22 +369,21 @@ def sample_many(
     before it have been yielded.
     """
     kind = _sensor_kind(kind)
+    value_of = _VALUE_OF[kind]
     times = iter(t_ms_seq)
-    inf = math.inf
     while chunk := list(islice(times, SAMPLE_CHUNK)):
-        n = 0  # chunk[:n] passes sample's time check
+        n = 0  # chunk[:n] passes the time check
         try:
-            while n < len(chunk) and 0 <= chunk[n] < inf:
+            for t_ms in chunk:
+                _check_time(t_ms)
                 n += 1
-        except TypeError:
-            pass  # chunk[n] is not a number: sample raises on it below
+        except (TypeError, ValueError):
+            pass  # raised again below, after the readings before it
         good = chunk[:n]
-        if kind is SensorKind.MAGNETOMETER:
-            values = _magnetometer_values(state, good)
-        else:
-            values = [_value(state, kind, t) for t in good]
+        values = (_magnetometer_values(state, good) if kind is SensorKind.MAGNETOMETER
+                  else [value_of(state, t_ms) for t_ms in good])
         stamps = shield_stream(state.time_seed, good, shield_cfg)
         for value, stamp in zip(values, stamps):
-            yield SensorReading(kind=kind, value=value, timestamp_ms=stamp)
+            yield _new_tuple(SensorReading, (kind, value, stamp))
         if n < len(chunk):
-            sample(state, kind, chunk[n], shield_cfg)  # raises that time's error
+            _check_time(chunk[n])  # raises that time's error

@@ -231,7 +231,7 @@ class TestReading:
     """A reading is an immutable value: three named fields in a fixed
     order, equality and hash by value, and a repr that names them."""
 
-    def test_fields_in_order(self, state):
+    def test_fields_in_order(self):
         assert list(inspect.signature(SensorReading).parameters) == [
             "kind", "value", "timestamp_ms"]
         reading = SensorReading(SensorKind.GYROSCOPE, (1.0, 2.0, 3.0), 5.0)
@@ -357,6 +357,23 @@ class TestSampleMany:
             next(readings)
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             sample(state, kind, bad)
+
+    @pytest.mark.parametrize("bad", [10**400, 2**1024, -(10**400)],
+                             ids=["10**400", "2**1024", "-10**400"])
+    @pytest.mark.parametrize("kind", list(SensorKind))
+    def test_int_time_past_the_float_range_is_a_bad_time(self, state, kind, bad):
+        """No kind hashes, divides or shields such a time: every kind
+        raises the time check's ValueError, and in a stream only after
+        the readings before it."""
+        error = f"^sample time must be finite and >= 0, got {bad}$"
+        with pytest.raises(ValueError, match=error):
+            sample(state, kind, bad)
+        times = BATCH_TIMES[:10] + [bad] + BATCH_TIMES[10:]  # after one full chunk
+        readings = sample_many(state, kind, times)
+        for t in times[:10]:
+            assert next(readings) == sample(state, kind, t)
+        with pytest.raises(ValueError, match=error):
+            next(readings)
 
     def test_non_number_time_raises_after_the_readings_before_it(self, state):
         readings = sample_many(state, "gyroscope", [0.0, "x"])
